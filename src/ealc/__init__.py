@@ -29,8 +29,8 @@ from .encode import (
 )
 from .regcompile import (
     AutomatonError, Dfa, MonoidPresentation, RegexError, compile_dfa,
-    compile_monoid, dfa, dfa_from_json, dfa_to_json, regex_to_dfa,
-    transition_monoid,
+    compile_monoid, dfa, dfa_equiv, dfa_from_json, dfa_to_json, minimize,
+    regex_to_dfa, transition_monoid,
 )
 from .truncate import TruncationError, truncate_term, truncate_type
 from .semantics import (
@@ -40,8 +40,8 @@ from .semantics import (
 )
 from .extract import (
     Decomposition, IteratorParts, UnsupportedShape, VerificationFailed,
-    decompose_bang_input, decompose_iterator, dfa_equiv, dfa_run,
-    extract_lstar, extract_semantic, minimize, truncated_iterator, verify_dfa,
+    decompose_bang_input, decompose_iterator, extract_lstar, extract_semantic,
+    truncated_iterator, verify_dfa,
 )
 
 __version__ = "0.1.0"

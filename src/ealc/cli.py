@@ -5,7 +5,8 @@ the corresponding library function and prints the result.  Identical inputs
 and flags produce byte-identical outputs.
 
 Exit codes: 0 success, 1 parse/type error, 2 unsupported shape,
-3 resource cap or fuel exhausted, 4 verification mismatch.
+3 resource cap, fuel or recursion depth exhausted, 4 verification
+mismatch.
 """
 
 from __future__ import annotations
@@ -261,7 +262,7 @@ def main(argv=None) -> int:
     except (UnsupportedShape, SemanticsUnsupported, TruncationError) as e:
         print("unsupported: %s" % e, file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (FuelExhausted, CapExceeded) as e:
+    except (FuelExhausted, CapExceeded, RecursionError) as e:
         print("resource limit: %s" % e, file=sys.stderr)
         return EXIT_RESOURCE
     except VerificationFailed as e:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .syntax import (
     App, Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu, Term, Type,
-    TyApp, TyLam, TyVar, Unfold, Var, print_type,
+    TyApp, TyLam, TyVar, Unfold, Var, fresh_name, print_type, type_alpha_eq,
 )
 from .typecheck import Context, MUEAL, TypeCheckError, typecheck
 
@@ -45,7 +45,6 @@ def scott_str_ty() -> Type:
 
 def tensor(s: Type, t: Type) -> Type:
     """s * t = forall a. (s -o t -o a) -o a  (a chosen fresh)."""
-    from .syntax import fresh_name
     a = fresh_name("a", s.ftv | t.ftv)
     return Forall(a, Arrow(Arrow(s, Arrow(t, TyVar(a))), TyVar(a)))
 
@@ -125,7 +124,6 @@ def monoid_elem(i: int, k: int) -> Term:
 
 def pair(u: Term, s: Type, v: Term, t: Type) -> Term:
     """u * v = /\\a. \\f:(s -o t -o a). f u v  :  s * t"""
-    from .syntax import fresh_name
     a = fresh_name("a", s.ftv | t.ftv | u.ftv | v.ftv)
     f = fresh_name("f", u.fvs | v.fvs)
     return TyLam(a, Lam(f, Arrow(s, Arrow(t, TyVar(a))),
@@ -271,7 +269,6 @@ def assemble_fexptime(f: Term, t_clock: Term, k: int) -> Term:
         raise ValueError("k must be non-negative")
     f_ty = typecheck(MUEAL, Context(), f)
     clock_ty = typecheck(MUEAL, Context(), t_clock)
-    from .syntax import type_alpha_eq
     want_f = Arrow(BangType(STR), bang(STRS, k + 2))
     want_clock = Arrow(BangType(STR), bang(NAT, k + 1))
     if not type_alpha_eq(f_ty, want_f):

@@ -17,29 +17,30 @@ a language over {0,1}; this module recovers a DFA for it.  Two routes:
   membership oracle, with an equivalence oracle that is exhaustive up to
   max_len and randomized (seeded) beyond it.
 
-Plain DFA utilities (run, minimize, equivalence) live here too.
+The DFA algorithms both routes use (minimize, all_words) live beside Dfa in
+ealc.regcompile.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .syntax import (
     App, Arrow, Bang, BangLam, BangType, Lam, Term, Type, TyApp, TyLam,
-    Var, print_term, print_type, subst_term, type_alpha_eq,
+    Var, all_names, fresh_name, print_term, print_type, split_occurrences,
+    subst_term, type_alpha_eq,
 )
 from .typecheck import Context, MUEAL, typecheck
 from .encode import BOOL, STR, church_string, str_of
 from .reduction import normalize, read_bool, DEFAULT_FUEL
-from .regcompile import ALPHABET, Dfa
+from .regcompile import ALPHABET, Dfa, all_words, minimize
 from .semantics import (
     CapExceeded, DEFAULT_CAP, EndoMonoid, POLICY_ERROR, interp_type,
     phi_identity,
 )
-from .truncate import truncate_type
+from .truncate import truncate_term, truncate_type
 
 
 class UnsupportedShape(Exception):
@@ -51,91 +52,6 @@ class VerificationFailed(Exception):
         super().__init__("extracted automaton disagrees with the term on %d word(s), "
                          "first: %r" % (len(report.mismatches), report.mismatches[0]))
         self.report = report
-
-
-# ---------------------------------------------------------------------------
-# DFA utilities
-
-def dfa_run(d: Dfa, w: str) -> bool:
-    return d.run(w)
-
-
-def _reachable(d: Dfa) -> list:
-    seen = {d.start}
-    order = [d.start]
-    i = 0
-    while i < len(order):
-        for c in ALPHABET:
-            nxt = d.delta[order[i]][c]
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-        i += 1
-    return order
-
-
-def minimize(d: Dfa) -> Dfa:
-    """Unique minimal DFA (Moore partition refinement), states renamed
-    q0, q1, ... in BFS order from the start state."""
-    states = _reachable(d)
-    block = {s: (s in d.accept) for s in states}
-    while True:
-        sig = {s: (block[s],) + tuple(block[d.delta[s][c]] for c in ALPHABET)
-               for s in states}
-        classes = {}
-        for s in states:
-            classes.setdefault(sig[s], []).append(s)
-        if len(classes) == len(set(block.values())):
-            break
-        block = {}
-        for i, (_, members) in enumerate(sorted(classes.items(),
-                                                key=lambda kv: str(kv[0]))):
-            for s in members:
-                block[s] = i
-
-    # canonical naming by BFS over blocks
-    names = {}
-    order = [block[d.start]]
-    names[block[d.start]] = "q0"
-    i = 0
-    rep = {}
-    for s in states:
-        rep.setdefault(block[s], s)
-    while i < len(order):
-        b = order[i]
-        for c in ALPHABET:
-            nb = block[d.delta[rep[b]][c]]
-            if nb not in names:
-                names[nb] = "q%d" % len(names)
-                order.append(nb)
-        i += 1
-    new_states = tuple(names[b] for b in order)
-    delta = {names[b]: {c: names[block[d.delta[rep[b]][c]]] for c in ALPHABET}
-             for b in order}
-    accept = frozenset(names[block[s]] for s in states if s in d.accept)
-    return Dfa(new_states, "q0", accept, delta)
-
-
-def dfa_equiv(a: Dfa, b: Dfa) -> bool:
-    """Language equivalence via product-automaton search."""
-    seen = {(a.start, b.start)}
-    frontier = [(a.start, b.start)]
-    while frontier:
-        sa, sb = frontier.pop()
-        if (sa in a.accept) != (sb in b.accept):
-            return False
-        for c in ALPHABET:
-            p = (a.delta[sa][c], b.delta[sb][c])
-            if p not in seen:
-                seen.add(p)
-                frontier.append(p)
-    return True
-
-
-def all_words(max_len: int):
-    for n in range(max_len + 1):
-        for tup in itertools.product(ALPHABET, repeat=n):
-            yield "".join(tup)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +134,6 @@ def decompose_bang_input(t: Term, fuel: int = DEFAULT_FUEL) -> Decomposition:
         bang_peel += 1
 
     # every free occurrence of x must be x[sigma]; collect sigmas preorder
-    from .syntax import all_names, fresh_name
     sigmas = []
     names = []
     taken = set(all_names(body)) | {x}
@@ -315,13 +230,11 @@ def decompose_iterator(u: Term, fuel: int = DEFAULT_FUEL) -> IteratorParts:
                     "body is not a let-bang chain over the string application: %s"
                     % print_term(v))
 
-    from .syntax import all_names, fresh_name
     avoid = set(all_names(nf))
     z = fresh_name("z", avoid)
     r = Var(z)
     for y, p in reversed(lets):
         r = subst_term(p, y, r)
-    from .syntax import split_occurrences
     r2, names = split_occurrences(r, z)
     tau = Arrow(sigma, sigma)
     g = r2
@@ -335,7 +248,6 @@ def _id_step(sigma: Type) -> Term:
 
 
 def truncated_iterator(parts: IteratorParts) -> IteratorParts:
-    from .truncate import truncate_term
     sigma = truncate_type(parts.sigma)
     return IteratorParts(truncate_term(parts.f0), truncate_term(parts.f1),
                          truncate_term(parts.g), parts.m, sigma)
@@ -392,7 +304,7 @@ def extract_semantic(t: Term, base: int = 2, policy: str = POLICY_ERROR,
              for j in range(len(order))})
     d = minimize(d)
     if verify_len is not None:
-        report = verify_dfa(d, t, verify_len, fuel)
+        report = _compare(d, query, verify_len)
         if report.mismatches:
             raise VerificationFailed(report)
     return d
@@ -493,7 +405,10 @@ class VerifyReport:
 
 def verify_dfa(d: Dfa, t: Term, max_len: int, fuel: int = DEFAULT_FUEL) -> VerifyReport:
     """Compare the automaton with the term on every word up to max_len."""
-    query = membership_oracle(t, fuel)
+    return _compare(d, membership_oracle(t, fuel), max_len)
+
+
+def _compare(d: Dfa, query: Callable, max_len: int) -> VerifyReport:
     report = VerifyReport(checked=0, max_len=max_len)
     for w in all_words(max_len):
         report.checked += 1

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 
+from .encode import BOOL, NAT, STR, STRS, monoid_ty, str_of
 from .syntax import (
     App, Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu, Term, Type,
     TyApp, TyLam, TyVar, TypeStructureError, UNIT, Unfold, Var, fresh_name,
@@ -72,39 +73,9 @@ def _tokenize(text):
     return toks
 
 
-# Named type abbreviations.  Most are fixed; Str[T] and Mk are parameterized.
-def _bool_ty():
-    a = TyVar("a")
-    return Forall("a", Arrow(a, Arrow(a, a)))
-
-def _str_of(s: Type) -> Type:
-    e = BangType(Arrow(s, s))
-    return Arrow(e, Arrow(e, e))
-
-def _str_ty():
-    return Forall("a", _str_of(TyVar("a")))
-
-def _nat_ty():
-    e = BangType(Arrow(TyVar("a"), TyVar("a")))
-    return Forall("a", Arrow(e, e))
-
-def _scott_str_ty():
-    b, a = TyVar("b"), TyVar("a")
-    arm = Arrow(b, a)
-    return Mu("b", Forall("a", Arrow(arm, Arrow(arm, Arrow(a, a)))))
-
-def _monoid_ty(k: int) -> Type:
-    t: Type = TyVar("a")
-    for _ in range(k):
-        t = Arrow(TyVar("a"), t)
-    return Forall("a", t)
-
-_FIXED_ABBREVS = {
-    "Bool": _bool_ty,
-    "Str": _str_ty,
-    "Nat": _nat_ty,
-    "StrS": _scott_str_ty,
-}
+# Named type abbreviations, as ealc.encode builds them.  Str[T] and Mk take
+# a parameter and are expanded in type_atom.
+_FIXED_ABBREVS = {"Bool": BOOL, "Str": STR, "Nat": NAT, "StrS": STRS}
 
 _MONOID_RE = re.compile(r"^M([1-9][0-9]*)$")
 
@@ -186,12 +157,12 @@ class _Parser:
                 self.next()
                 arg = self.type_()
                 self.expect("]")
-                return _str_of(arg)
+                return str_of(arg)
             if lex in _FIXED_ABBREVS:
-                return _FIXED_ABBREVS[lex]()
+                return _FIXED_ABBREVS[lex]
             m = _MONOID_RE.match(lex)
             if m:
-                return _monoid_ty(int(m.group(1)))
+                return monoid_ty(int(m.group(1)))
             return TyVar(lex)
         self.err("expected a type")
 
@@ -288,9 +259,8 @@ class _Parser:
         self.expect("->")
         c = self.term()
         self.expect("}")
-        strs = _scott_str_ty()
         head = TyApp(Unfold(scrutinee), theta)
-        return App(App(App(head, Lam(x, strs, a)), Lam(y, strs, b)), c)
+        return App(App(App(head, Lam(x, STRS, a)), Lam(y, STRS, b)), c)
 
     def app(self) -> Term:
         t = self.prefix()

@@ -10,6 +10,7 @@ element in the accepting subset is read off by chi_S : Mk -o Bool.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -76,9 +77,16 @@ def dfa_to_dict(d: Dfa) -> dict:
 
 
 def dfa_from_dict(obj: dict) -> Dfa:
-    if sorted(obj.get("alphabet", [])) != ["0", "1"]:
-        raise AutomatonError('alphabet must be ["0", "1"]')
-    return dfa(obj["states"], obj["start"], obj["accept"], obj["delta"])
+    if not isinstance(obj, dict):
+        raise AutomatonError("DFA must be a JSON object")
+    try:
+        if sorted(obj.get("alphabet", [])) != ["0", "1"]:
+            raise AutomatonError('alphabet must be ["0", "1"]')
+        return dfa(obj["states"], obj["start"], obj["accept"], obj["delta"])
+    except KeyError as e:
+        raise AutomatonError("DFA lacks %s" % e) from None
+    except (TypeError, AttributeError, ValueError) as e:
+        raise AutomatonError("malformed DFA: %s" % e) from None
 
 
 def dfa_to_json(d: Dfa) -> str:
@@ -87,6 +95,85 @@ def dfa_to_json(d: Dfa) -> str:
 
 def dfa_from_json(text: str) -> Dfa:
     return dfa_from_dict(json.loads(text))
+
+
+def _reachable(d: Dfa) -> list:
+    seen = {d.start}
+    order = [d.start]
+    i = 0
+    while i < len(order):
+        for c in ALPHABET:
+            nxt = d.delta[order[i]][c]
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+        i += 1
+    return order
+
+
+def minimize(d: Dfa) -> Dfa:
+    """Unique minimal DFA (Moore partition refinement), states renamed
+    q0, q1, ... in BFS order from the start state."""
+    states = _reachable(d)
+    block = {s: (s in d.accept) for s in states}
+    while True:
+        sig = {s: (block[s],) + tuple(block[d.delta[s][c]] for c in ALPHABET)
+               for s in states}
+        classes = {}
+        for s in states:
+            classes.setdefault(sig[s], []).append(s)
+        if len(classes) == len(set(block.values())):
+            break
+        block = {}
+        for i, (_, members) in enumerate(sorted(classes.items(),
+                                                key=lambda kv: str(kv[0]))):
+            for s in members:
+                block[s] = i
+
+    # canonical naming by BFS over blocks
+    names = {}
+    order = [block[d.start]]
+    names[block[d.start]] = "q0"
+    i = 0
+    rep = {}
+    for s in states:
+        rep.setdefault(block[s], s)
+    while i < len(order):
+        b = order[i]
+        for c in ALPHABET:
+            nb = block[d.delta[rep[b]][c]]
+            if nb not in names:
+                names[nb] = "q%d" % len(names)
+                order.append(nb)
+        i += 1
+    new_states = tuple(names[b] for b in order)
+    delta = {names[b]: {c: names[block[d.delta[rep[b]][c]]] for c in ALPHABET}
+             for b in order}
+    accept = frozenset(names[block[s]] for s in states if s in d.accept)
+    return Dfa(new_states, "q0", accept, delta)
+
+
+def dfa_equiv(a: Dfa, b: Dfa) -> bool:
+    """Language equivalence via product-automaton search."""
+    seen = {(a.start, b.start)}
+    frontier = [(a.start, b.start)]
+    while frontier:
+        sa, sb = frontier.pop()
+        if (sa in a.accept) != (sb in b.accept):
+            return False
+        for c in ALPHABET:
+            p = (a.delta[sa][c], b.delta[sb][c])
+            if p not in seen:
+                seen.add(p)
+                frontier.append(p)
+    return True
+
+
+def all_words(max_len: int):
+    """Every word over {0,1} of length <= max_len, in shortlex order."""
+    for n in range(max_len + 1):
+        for tup in itertools.product(ALPHABET, repeat=n):
+            yield "".join(tup)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +339,6 @@ def regex_to_dfa(regex: str) -> Dfa:
         i += 1
     d = Dfa(tuple("q%d" % j for j in range(len(order))), "q0",
             frozenset("q%d" % index[r] for r in order if _nullable(r)), delta)
-    from .extract import minimize  # deferred: extract owns DFA utilities
     return minimize(d)
 
 
@@ -320,8 +406,16 @@ def monoid_to_dict(m: MonoidPresentation) -> dict:
 
 
 def monoid_from_dict(obj: dict) -> MonoidPresentation:
-    return MonoidPresentation(obj["size"], tuple(tuple(r) for r in obj["table"]),
-                              obj["gen0"], obj["gen1"], frozenset(obj["accept"]))
+    if not isinstance(obj, dict):
+        raise AutomatonError("monoid must be a JSON object")
+    try:
+        return MonoidPresentation(
+            obj["size"], tuple(tuple(r) for r in obj["table"]),
+            obj["gen0"], obj["gen1"], frozenset(obj["accept"]))
+    except KeyError as e:
+        raise AutomatonError("monoid lacks %s" % e) from None
+    except (TypeError, AttributeError, ValueError) as e:
+        raise AutomatonError("malformed monoid: %s" % e) from None
 
 
 def monoid_from_json(text: str) -> MonoidPresentation:

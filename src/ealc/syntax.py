@@ -30,6 +30,9 @@ class TypeStructureError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class Type:
+    # Free type variables, computed by each node's __post_init__.
+    ftv: frozenset = field(init=False, repr=False, compare=False)
+
     def __str__(self) -> str:
         return print_type(self)
 
@@ -37,7 +40,6 @@ class Type:
 @dataclass(frozen=True, eq=False)
 class TyVar(Type):
     name: str
-    ftv: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ftv", frozenset((self.name,)))
@@ -47,7 +49,6 @@ class TyVar(Type):
 class Arrow(Type):
     src: Type
     dst: Type
-    ftv: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ftv", self.src.ftv | self.dst.ftv)
@@ -56,7 +57,6 @@ class Arrow(Type):
 @dataclass(frozen=True, eq=False)
 class BangType(Type):
     body: Type
-    ftv: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ftv", self.body.ftv)
@@ -66,7 +66,6 @@ class BangType(Type):
 class Forall(Type):
     var: str
     body: Type
-    ftv: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_strictly_linear(self.body):
@@ -79,7 +78,6 @@ class Forall(Type):
 class Mu(Type):
     var: str
     body: Type
-    ftv: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_strictly_linear(self.body):
@@ -130,6 +128,10 @@ def is_unit(t: Type) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Term:
+    # Free term and type variables, computed by each node's __post_init__.
+    fvs: frozenset = field(init=False, repr=False, compare=False)
+    ftv: frozenset = field(init=False, repr=False, compare=False)
+
     def __str__(self) -> str:
         return print_term(self)
 
@@ -137,8 +139,6 @@ class Term:
 @dataclass(frozen=True, eq=False)
 class Var(Term):
     name: str
-    fvs: frozenset = field(init=False, repr=False, compare=False)
-    ftv: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fvs", frozenset((self.name,)))
@@ -151,8 +151,6 @@ class Lam(Term):
     var: str
     ty: Optional[Type]
     body: Term
-    fvs: frozenset = field(init=False, repr=False, compare=False)
-    ftv: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fvs", self.body.fvs - {self.var})
@@ -166,8 +164,6 @@ class BangLam(Term):
     var: str
     ty: Optional[Type]  # the core S, not !S
     body: Term
-    fvs: frozenset = field(init=False, repr=False, compare=False)
-    ftv: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fvs", self.body.fvs - {self.var})
@@ -179,8 +175,6 @@ class BangLam(Term):
 class App(Term):
     fn: Term
     arg: Term
-    fvs: frozenset = field(init=False, repr=False, compare=False)
-    ftv: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fvs", self.fn.fvs | self.arg.fvs)
@@ -190,8 +184,6 @@ class App(Term):
 @dataclass(frozen=True, eq=False)
 class Bang(Term):
     body: Term
-    fvs: frozenset = field(init=False, repr=False, compare=False)
-    ftv: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fvs", self.body.fvs)
@@ -203,8 +195,6 @@ class TyLam(Term):
     """Type abstraction /\\a. t."""
     var: str
     body: Term
-    fvs: frozenset = field(init=False, repr=False, compare=False)
-    ftv: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fvs", self.body.fvs)
@@ -216,8 +206,6 @@ class TyApp(Term):
     """Type application t [A]."""
     fn: Term
     ty: Type
-    fvs: frozenset = field(init=False, repr=False, compare=False)
-    ftv: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fvs", self.fn.fvs)
@@ -229,8 +217,6 @@ class Fold(Term):
     """fold[mu a. S] t, introducing the fixpoint type."""
     ty: Type
     body: Term
-    fvs: frozenset = field(init=False, repr=False, compare=False)
-    ftv: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fvs", self.body.fvs)
@@ -240,8 +226,6 @@ class Fold(Term):
 @dataclass(frozen=True, eq=False)
 class Unfold(Term):
     body: Term
-    fvs: frozenset = field(init=False, repr=False, compare=False)
-    ftv: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fvs", self.body.fvs)

@@ -162,6 +162,36 @@ def test_cli_is_thin_wrapper(tmp_path, parity_term, capsys):
     assert capsys.readouterr().out == print_term(compile_dfa(PARITY)) + "\n"
 
 
+@pytest.mark.parametrize("command", [["compile", "--dfa"],
+                                     ["compile", "--monoid"],
+                                     ["verify", "TERM", "--dfa"]],
+                         ids=["compile-dfa", "compile-monoid", "verify"])
+@pytest.mark.parametrize("text", ['{"alphabet": ["0", "1"]}', "[1, 2]",
+                                  '{"size": 2}'],
+                         ids=["alphabet-only", "list", "size-only"])
+def test_malformed_automaton_json(tmp_path, parity_term, capsys, command, text):
+    f = write(tmp_path / "bad.json", text)
+    argv = [parity_term if a == "TERM" else a for a in command] + [f]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_recursion_error_is_a_resource_limit(monkeypatch, capsys):
+    def deep(term):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr("ealc.cli.print_term", deep)
+    assert main(["encode", "--nat", "1"]) == 3
+    assert capsys.readouterr().err == \
+        "resource limit: maximum recursion depth exceeded\n"
+
+
+def test_long_word_exits_with_resource_limit(capsys):
+    # print_term recurses once per letter, so a 1200-letter word passes the
+    # recursion ceiling; the CLI reports it instead of a traceback.
+    assert main(["encode", "--string", "01" * 600]) == 3
+    assert capsys.readouterr().err.startswith("resource limit: ")
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--version"])

@@ -7,7 +7,7 @@ from ealc import (
     App, Arrow, Bang, BangLam, BOOL, CapExceeded, EAL, Lam, STR,
     TyApp, TyVar, UnsupportedShape, Var, alpha_eq, bool_term, church_string,
     compile_dfa, decompose_bang_input, decompose_iterator, dfa, dfa_equiv,
-    dfa_run, extract_lstar, extract_semantic, minimize, normalize,
+    extract_lstar, extract_semantic, minimize, normalize,
     transition_monoid, truncated_iterator, typecheck_closed, verify_dfa,
 )
 from ealc import monoid_ty, promote, type_alpha_eq
@@ -51,7 +51,7 @@ def test_equiv_finds_counterexample():
 
 
 def test_dfa_run():
-    assert dfa_run(PARITY, "") and not dfa_run(PARITY, "1")
+    assert PARITY.run("") and not PARITY.run("1")
 
 
 # -- decomposition -----------------------------------------------------------------

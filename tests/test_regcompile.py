@@ -8,8 +8,9 @@ from ealc import (
     dfa_to_json, read_bool, regex_to_dfa, transition_monoid, type_alpha_eq,
     typecheck_closed,
 )
-from ealc.extract import dfa_equiv, minimize
-from ealc.regcompile import AutomatonError, monoid_from_dict
+from ealc.regcompile import (
+    AutomatonError, dfa_equiv, minimize, monoid_from_dict,
+)
 
 from corpus import ALL_STRINGS, CONTAINS_11, DIV3, PARITY, REFERENCE_DFAS
 
