@@ -34,9 +34,8 @@ from .regcompile import (
 )
 from .truncate import TruncationError, truncate_term, truncate_type
 from .semantics import (
-    CapExceeded, EndoPairTable, FiniteSet, FrameValue, SemanticsUnsupported,
-    endo_compose, endo_identity, enumerate_endos, eval_term, interp_type,
-    phi_entry, phi_of_word,
+    CapExceeded, EndoMonoid, EndoPairTable, FiniteSet, FrameValue,
+    SemanticsUnsupported, eval_term, interp_type, phi_entry, phi_of_word,
 )
 from .extract import (
     Decomposition, IteratorParts, UnsupportedShape, VerificationFailed,

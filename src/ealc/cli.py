@@ -80,16 +80,9 @@ def _cmd_encode(args) -> int:
         term = encode.church_nat(args.nat)
     elif args.scott is not None:
         term = encode.scott_string(args.scott)
-    elif args.cast:
+    else:  # --cast, which the cast subcommand sets
         term = encode.cast_term()
-    else:
-        raise ParseError("encode needs one of --string/--nat/--scott/--cast")
     _emit(print_term(term) + "\n", args.output)
-    return EXIT_OK
-
-
-def _cmd_cast(args) -> int:
-    _emit(print_term(encode.cast_term()) + "\n", args.output)
     return EXIT_OK
 
 
@@ -196,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cast", help="emit the Scott-to-Church cast term")
     add_out(sp)
-    sp.set_defaults(fn=_cmd_cast)
+    sp.set_defaults(fn=_cmd_encode, cast=True, string=None, nat=None,
+                    scott=None)
 
     sp = sub.add_parser("promote", help="k-fold functorial promotion of a closed term")
     sp.add_argument("file")

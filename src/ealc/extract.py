@@ -17,8 +17,8 @@ a language over {0,1}; this module recovers a DFA for it.  Two routes:
   membership oracle, with an equivalence oracle that is exhaustive up to
   max_len and randomized (seeded) beyond it.
 
-The DFA algorithms both routes use (minimize, all_words) live beside Dfa in
-ealc.regcompile.
+The DFA algorithms both routes use (explore, minimize, all_words) live
+beside Dfa in ealc.regcompile.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ from .syntax import (
 from .typecheck import Context, MUEAL, typecheck
 from .encode import BOOL, STR, church_string, str_of
 from .reduction import normalize, read_bool, DEFAULT_FUEL
-from .regcompile import ALPHABET, Dfa, all_words, minimize
+from .regcompile import (
+    ALPHABET, Dfa, all_words, explore, minimize, numbered_dfa,
+)
 from .semantics import (
     CapExceeded, DEFAULT_CAP, EndoMonoid, POLICY_ERROR, interp_type,
     phi_identity,
@@ -278,31 +280,27 @@ def extract_semantic(t: Term, base: int = 2, policy: str = POLICY_ERROR,
         cells_per_state += monoid.count ** 2
 
     start = tuple(phi_identity(m, cap) for m in monoids)
-    index = {start: 0}
-    witness = [""]
-    order = [start]
-    delta_idx = {}
-    i = 0
-    while i < len(order):
-        state = order[i]
-        for c in ALPHABET:
-            nxt = tuple(tab.then_letter(c, m) for tab, m in zip(state, monoids))
-            if nxt not in index:
-                if cells_per_state * (len(order) + 1) > cap:
-                    raise CapExceeded("word-morphism state space",
-                                      cells_per_state * (len(order) + 1), cap)
-                index[nxt] = len(order)
-                witness.append(witness[i] + c)
-                order.append(nxt)
-            delta_idx[(i, c)] = index[nxt]
-        i += 1
+    seen = {start}
 
-    names = ["q%d" % j for j in range(len(order))]
-    d = Dfa(tuple(names), "q0",
-            frozenset(names[j] for j in range(len(order)) if query(witness[j])),
-            {names[j]: {c: names[delta_idx[(j, c)]] for c in ALPHABET}
-             for j in range(len(order))})
-    d = minimize(d)
+    def step(state, c):
+        nxt = tuple(tab.then_letter(c, m) for tab, m in zip(state, monoids))
+        seen.add(nxt)
+        if cells_per_state * len(seen) > cap:
+            raise CapExceeded("word-morphism state space",
+                              cells_per_state * len(seen), cap)
+        return nxt
+
+    _, succ = explore(start, step)
+    # BFS numbers states in order of discovery, so state j is new exactly
+    # where it first appears in row order
+    witness = [""]
+    for i, row in enumerate(succ):
+        for c, j in row.items():
+            if j == len(witness):
+                witness.append(witness[i] + c)
+
+    d = minimize(numbered_dfa(
+        succ, [j for j, w in enumerate(witness) if query(w)]))
     if verify_len is not None:
         report = _compare(d, query, verify_len)
         if report.mismatches:

@@ -80,9 +80,17 @@ def dfa_from_dict(obj: dict) -> Dfa:
     if not isinstance(obj, dict):
         raise AutomatonError("DFA must be a JSON object")
     try:
-        if sorted(obj.get("alphabet", [])) != ["0", "1"]:
+        alphabet = obj.get("alphabet", [])
+        if not isinstance(alphabet, list) or sorted(alphabet) != ["0", "1"]:
             raise AutomatonError('alphabet must be ["0", "1"]')
-        return dfa(obj["states"], obj["start"], obj["accept"], obj["delta"])
+        states, start, accept, delta = (
+            obj[k] for k in ("states", "start", "accept", "delta"))
+        if not (isinstance(states, list) and isinstance(accept, list)):
+            raise AutomatonError("states and accept must be JSON lists")
+        if not (isinstance(delta, dict)
+                and all(isinstance(row, dict) for row in delta.values())):
+            raise AutomatonError("delta and its rows must be JSON objects")
+        return dfa(states, start, accept, delta)
     except KeyError as e:
         raise AutomatonError("DFA lacks %s" % e) from None
     except (TypeError, AttributeError, ValueError) as e:
@@ -97,24 +105,39 @@ def dfa_from_json(text: str) -> Dfa:
     return dfa_from_dict(json.loads(text))
 
 
-def _reachable(d: Dfa) -> list:
-    seen = {d.start}
-    order = [d.start]
-    i = 0
-    while i < len(order):
+def explore(start, step):
+    """Number the states reachable from `start` under step(state, c) in
+    breadth-first order, which is the shortlex order of their least
+    witness words.  Returns (order, succ): order[i] is state i and
+    succ[i][c] the number of step(order[i], c)."""
+    index = {start: 0}
+    order = [start]
+    succ = []
+    for state in order:  # grows while it is read
+        row = {}
         for c in ALPHABET:
-            nxt = d.delta[order[i]][c]
-            if nxt not in seen:
-                seen.add(nxt)
+            nxt = step(state, c)
+            if nxt not in index:
+                index[nxt] = len(order)
                 order.append(nxt)
-        i += 1
-    return order
+            row[c] = index[nxt]
+        succ.append(row)
+    return order, succ
+
+
+def numbered_dfa(succ: list, accept) -> Dfa:
+    """The DFA on states q0, q1, ... with q_i -c-> q_succ[i][c], starting
+    at q0 and accepting the q_i with i in `accept`."""
+    names = ["q%d" % i for i in range(len(succ))]
+    return Dfa(tuple(names), "q0", frozenset(names[i] for i in accept),
+               {names[i]: {c: names[j] for c, j in row.items()}
+                for i, row in enumerate(succ)})
 
 
 def minimize(d: Dfa) -> Dfa:
     """Unique minimal DFA (Moore partition refinement), states renamed
     q0, q1, ... in BFS order from the start state."""
-    states = _reachable(d)
+    states, _ = explore(d.start, lambda s, c: d.delta[s][c])
     block = {s: (s in d.accept) for s in states}
     while True:
         sig = {s: (block[s],) + tuple(block[d.delta[s][c]] for c in ALPHABET)
@@ -130,43 +153,21 @@ def minimize(d: Dfa) -> Dfa:
             for s in members:
                 block[s] = i
 
-    # canonical naming by BFS over blocks
-    names = {}
-    order = [block[d.start]]
-    names[block[d.start]] = "q0"
-    i = 0
     rep = {}
     for s in states:
         rep.setdefault(block[s], s)
-    while i < len(order):
-        b = order[i]
-        for c in ALPHABET:
-            nb = block[d.delta[rep[b]][c]]
-            if nb not in names:
-                names[nb] = "q%d" % len(names)
-                order.append(nb)
-        i += 1
-    new_states = tuple(names[b] for b in order)
-    delta = {names[b]: {c: names[block[d.delta[rep[b]][c]]] for c in ALPHABET}
-             for b in order}
-    accept = frozenset(names[block[s]] for s in states if s in d.accept)
-    return Dfa(new_states, "q0", accept, delta)
+    blocks, succ = explore(block[d.start],
+                           lambda b, c: block[d.delta[rep[b]][c]])
+    return numbered_dfa(succ, [i for i, b in enumerate(blocks)
+                               if rep[b] in d.accept])
 
 
 def dfa_equiv(a: Dfa, b: Dfa) -> bool:
-    """Language equivalence via product-automaton search."""
-    seen = {(a.start, b.start)}
-    frontier = [(a.start, b.start)]
-    while frontier:
-        sa, sb = frontier.pop()
-        if (sa in a.accept) != (sb in b.accept):
-            return False
-        for c in ALPHABET:
-            p = (a.delta[sa][c], b.delta[sb][c])
-            if p not in seen:
-                seen.add(p)
-                frontier.append(p)
-    return True
+    """Language equivalence: every reachable state of the product automaton
+    accepts in both DFAs or in neither."""
+    pairs, _ = explore((a.start, b.start),
+                       lambda p, c: (a.delta[p[0]][c], b.delta[p[1]][c]))
+    return all((sa in a.accept) == (sb in b.accept) for sa, sb in pairs)
 
 
 def all_words(max_len: int):
@@ -320,26 +321,10 @@ def _parse_regex(text: str):
 def regex_to_dfa(regex: str) -> Dfa:
     """Minimal complete DFA of the regex (literals 0 1, e for the empty
     word, concatenation, |, *, parentheses; the empty regex denotes {e})."""
-    root = _parse_regex(regex)
     # Brzozowski derivative automaton, states = canonical regex values.
-    index = {root: 0}
-    order = [root]
-    delta = {}
-    i = 0
-    while i < len(order):
-        r = order[i]
-        row = {}
-        for c in ALPHABET:
-            d = _deriv(r, c)
-            if d not in index:
-                index[d] = len(order)
-                order.append(d)
-            row[c] = "q%d" % index[d]
-        delta["q%d" % i] = row
-        i += 1
-    d = Dfa(tuple("q%d" % j for j in range(len(order))), "q0",
-            frozenset("q%d" % index[r] for r in order if _nullable(r)), delta)
-    return minimize(d)
+    order, succ = explore(_parse_regex(regex), _deriv)
+    return minimize(numbered_dfa(
+        succ, [i for i, r in enumerate(order) if _nullable(r)]))
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +394,17 @@ def monoid_from_dict(obj: dict) -> MonoidPresentation:
     if not isinstance(obj, dict):
         raise AutomatonError("monoid must be a JSON object")
     try:
-        return MonoidPresentation(
-            obj["size"], tuple(tuple(r) for r in obj["table"]),
-            obj["gen0"], obj["gen1"], frozenset(obj["accept"]))
+        size, table, gen0, gen1, accept = (
+            obj[k] for k in ("size", "table", "gen0", "gen1", "accept"))
+        table = tuple(tuple(r) for r in table)
+        accept = tuple(accept)
+        # bool is an int and True == 1: JSON true would load as element 1
+        if not all(isinstance(v, int) and not isinstance(v, bool)
+                   for v in itertools.chain((size, gen0, gen1), accept,
+                                            *table)):
+            raise AutomatonError("size, gen0, gen1, table and accept entries "
+                                 "must be integers")
+        return MonoidPresentation(size, table, gen0, gen1, frozenset(accept))
     except KeyError as e:
         raise AutomatonError("monoid lacks %s" % e) from None
     except (TypeError, AttributeError, ValueError) as e:
@@ -440,17 +433,8 @@ def transition_monoid(d: Dfa) -> MonoidPresentation:
     def then(m1, m2):  # read word of m1, then word of m2
         return tuple(m2[v] for v in m1)
 
-    elems = {ident: 1}
-    order = [ident]
-    i = 0
-    while i < len(order):
-        m = order[i]
-        for c in ALPHABET:
-            m2 = then(m, gens[c])
-            if m2 not in elems:
-                elems[m2] = len(order) + 1
-                order.append(m2)
-        i += 1
+    order, _ = explore(ident, lambda m, c: then(m, gens[c]))
+    elems = {m: i + 1 for i, m in enumerate(order)}
     k = len(order)
     table = tuple(tuple(elems[then(a, b)] for b in order) for a in order)
     start_i = idx[d.start]

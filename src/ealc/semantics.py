@@ -265,8 +265,9 @@ def _eval(t, tyctx, env, base, policy, cap):
 # Endomorphism monoids and the word morphism
 
 class EndoMonoid:
-    """End(A) for a finite set A: all maps A -> A under composition,
-    as indices into the usual digit encoding."""
+    """End(A) for a finite set A: all maps A -> A under composition.
+    Element i is the value with index i of the function space A -o A
+    (`fns`), so its outputs are the base-|A| digits of i."""
 
     def __init__(self, space: FiniteSet, cap: int = DEFAULT_CAP):
         a = space.size
@@ -274,49 +275,19 @@ class EndoMonoid:
         if count > cap:
             raise CapExceeded("End(%s)" % print_type(space.ty), count, cap)
         self.space = space
-        self.size = a
+        self.fns = FnSet(count, Arrow(space.ty, space.ty), space, space)
         self.count = count
-        self._digits = []
-        for idx in range(count):
-            v, out = idx, []
-            for _ in range(a):
-                out.append(v % a)
-                v //= a
-            self._digits.append(tuple(out))
+        self._digits = [fn_outputs(self.value(i)) for i in range(count)]
         self._index = {d: i for i, d in enumerate(self._digits)}
         self.identity = self._index[tuple(range(a))]
 
-    def digits(self, i: int) -> tuple:
-        return self._digits[i]
+    def value(self, i: int) -> FrameValue:
+        return FrameValue(self.fns, i)
 
     def compose(self, f: int, g: int) -> int:
         """f after g."""
         fd, gd = self._digits[f], self._digits[g]
         return self._index[tuple(fd[x] for x in gd)]
-
-
-def endo_space(space: FiniteSet) -> FnSet:
-    size = space.size ** space.size
-    return FnSet(size, Arrow(space.ty, space.ty), space, space)
-
-
-def endo_identity(space: FiniteSet) -> FrameValue:
-    return make_fn(endo_space(space), range(space.size))
-
-
-def endo_compose(space: FiniteSet, f: FrameValue, g: FrameValue) -> FrameValue:
-    """f after g, both endomorphisms of `space`."""
-    gd = fn_outputs(g)
-    fd = fn_outputs(f)
-    return make_fn(endo_space(space), (fd[x] for x in gd))
-
-
-def enumerate_endos(space: FiniteSet, cap: int = DEFAULT_CAP) -> list:
-    count = space.size ** space.size
-    if count > cap:
-        raise CapExceeded("End(%s)" % print_type(space.ty), count, cap)
-    es = endo_space(space)
-    return [FrameValue(es, i) for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -377,8 +348,8 @@ def phi_entry(ty: Type, w: str, g0: FrameValue, g1: FrameValue,
               base: int = 2, policy: str = POLICY_ERROR,
               cap: int = DEFAULT_CAP) -> FrameValue:
     """phi(w) applied to one pair, without materializing the full table."""
-    space = interp_type(ty, base, policy, cap)
-    acc = endo_identity(space)
+    monoid = EndoMonoid(interp_type(ty, base, policy, cap), cap)
+    acc = monoid.identity
     for c in w:
-        acc = endo_compose(space, acc, g0 if c == "0" else g1)
-    return acc
+        acc = monoid.compose(acc, (g0 if c == "0" else g1).index)
+    return monoid.value(acc)

@@ -80,6 +80,9 @@ def test_cast_subcommand_checks(tmp_path):
     assert main(["cast", "-o", str(out)]) == 0
     assert main(["check", "--mode", "mueal", str(out),
                  "--type", "Nat -o !StrS -o Str"]) == 0
+    via_encode = tmp_path / "encode-cast.eal"
+    assert main(["encode", "--cast", "-o", str(via_encode)]) == 0
+    assert out.read_bytes() == via_encode.read_bytes()
 
 
 def test_promote(tmp_path, capsys):
@@ -162,13 +165,29 @@ def test_cli_is_thin_wrapper(tmp_path, parity_term, capsys):
     assert capsys.readouterr().out == print_term(compile_dfa(PARITY)) + "\n"
 
 
+MALFORMED_DFA = ('{"alphabet": %s, "states": %s, "start": "a", "accept": %s, '
+                 '"delta": {"a": %s, "b": {"0": "b", "1": "b"}}}')
+MALFORMED_MONOID = ('{"size": 2, "table": [[1, 2], [2, 1]], "gen0": %s, '
+                    '"gen1": 2, "accept": [1]}')
+
+
 @pytest.mark.parametrize("command", [["compile", "--dfa"],
                                      ["compile", "--monoid"],
                                      ["verify", "TERM", "--dfa"]],
                          ids=["compile-dfa", "compile-monoid", "verify"])
-@pytest.mark.parametrize("text", ['{"alphabet": ["0", "1"]}', "[1, 2]",
-                                  '{"size": 2}'],
-                         ids=["alphabet-only", "list", "size-only"])
+@pytest.mark.parametrize("text", [
+    '{"alphabet": ["0", "1"]}', "[1, 2]", '{"size": 2}',
+    # strings and pair lists where lists and objects are meant
+    MALFORMED_DFA % ('"01"', '["a", "b"]', '["b"]', '{"0": "a", "1": "b"}'),
+    MALFORMED_DFA % ('["0", "1"]', '"ab"', '["b"]', '{"0": "a", "1": "b"}'),
+    MALFORMED_DFA % ('["0", "1"]', '["a", "b"]', '"b"', '{"0": "a", "1": "b"}'),
+    MALFORMED_DFA % ('["0", "1"]', '["a", "b"]', '["b"]',
+                     '[["0", "a"], ["1", "b"]]'),
+    # a bool or a float where an int is meant
+    MALFORMED_MONOID % "true", MALFORMED_MONOID % "1.0",
+], ids=["alphabet-only", "list", "size-only", "string-alphabet",
+        "string-states", "string-accept", "list-row", "bool-gen0",
+        "float-gen0"])
 def test_malformed_automaton_json(tmp_path, parity_term, capsys, command, text):
     f = write(tmp_path / "bad.json", text)
     argv = [parity_term if a == "TERM" else a for a in command] + [f]

@@ -109,6 +109,39 @@ def test_minimized_dfa_same_language_through_monoid():
             assert m1.accepts(w) == m2.accepts(w), (name, w)
 
 
+def first_reached(reach):
+    """The values reach(w) takes, in the order shortlex-least words first
+    reach them; stops at the first length that reaches nothing new, after
+    which no longer word can."""
+    seen = []
+    for n in itertools.count():
+        new = False
+        for tup in itertools.product("01", repeat=n):
+            v = reach("".join(tup))
+            if v not in seen:
+                seen.append(v)
+                new = True
+        if not new:
+            return seen
+
+
+def state_after(d, w):
+    s = d.start
+    for c in w:
+        s = d.delta[s][c]
+    return s
+
+
+def test_numbering_follows_shortlex_witnesses():
+    family = [regex_to_dfa("(0|1)*1" + "(0|1)" * k) for k in range(5)]
+    for d in [d for _, d, _ in REFERENCE_DFAS] + family:
+        m = transition_monoid(d)
+        assert first_reached(m.phi) == list(range(1, m.size + 1))
+        md = minimize(d)
+        assert md.states == tuple("q%d" % i for i in range(len(md.states)))
+        assert first_reached(lambda w: state_after(md, w)) == list(md.states)
+
+
 def test_monoid_validation():
     with pytest.raises(AutomatonError):  # 2 is not an identity-respecting table
         monoid_from_dict({"size": 2, "table": [[1, 2], [1, 1]],

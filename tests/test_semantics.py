@@ -5,13 +5,12 @@ import pytest
 from ealc import (
     App, Arrow, Bang, BangType, BOOL, CapExceeded, Lam, STRS,
     SemanticsUnsupported, TyApp, TyVar, UNIT, Var, bool_term,
-    church_string, endo_compose, endo_identity, enumerate_endos, eval_term,
-    interp_type, normalize, parse_term, parse_type, phi_entry, phi_of_word,
-    truncate_type,
+    church_string, EndoMonoid, eval_term, interp_type, normalize,
+    parse_term, parse_type, phi_entry, phi_of_word, truncate_type,
 )
 from ealc.semantics import (
-    EndoMonoid, FrameValue, POLICY_BASE, POLICY_ERROR, apply_value,
-    fn_outputs, phi_identity, unit_point,
+    FrameValue, POLICY_BASE, POLICY_ERROR, apply_value, fn_outputs,
+    make_fn, phi_identity, unit_point,
 )
 from ealc.reduction import step
 
@@ -123,26 +122,37 @@ def test_eval_rejects_exponentials():
 # -- endomorphism monoid -----------------------------------------------------------
 
 def test_endo_basic():
-    space = interp_type(A, base=2)
-    endos = enumerate_endos(space)
-    assert len(endos) == 4
-    ident = endo_identity(space)
-    for f in endos:
-        assert endo_compose(space, ident, f) == f
-        assert endo_compose(space, f, ident) == f
+    m = EndoMonoid(interp_type(A, base=2))
+    assert m.count == 4
+    for f in range(m.count):
+        assert m.compose(m.identity, f) == f
+        assert m.compose(f, m.identity) == f
 
 
 def test_endo_associativity_size3():
-    space = interp_type(A, base=3)
-    endos = enumerate_endos(space)
+    m = EndoMonoid(interp_type(A, base=3))
     import random
     rng = random.Random(7)
-    sample = rng.sample(endos, 6)
+    sample = rng.sample(range(m.count), 6)
     for f in sample:
         for g in sample:
             for h in sample:
-                assert endo_compose(space, endo_compose(space, f, g), h) == \
-                    endo_compose(space, f, endo_compose(space, g, h))
+                assert m.compose(m.compose(f, g), h) == \
+                    m.compose(f, m.compose(g, h))
+
+
+def test_endo_tables_match_function_codec():
+    # the composition table agrees with composing the maps read off by
+    # fn_outputs and re-encoded by make_fn, on every pair
+    m = EndoMonoid(interp_type(A, base=3))
+    assert m.count == 27
+    assert m.value(m.identity) == make_fn(m.fns, range(3))
+    for f in range(m.count):
+        fd = fn_outputs(m.value(f))
+        for g in range(m.count):
+            gd = fn_outputs(m.value(g))
+            assert m.value(m.compose(f, g)) == \
+                make_fn(m.fns, (fd[x] for x in gd)), (f, g)
 
 
 # -- the word morphism ----------------------------------------------------------------
@@ -174,14 +184,17 @@ def test_phi_is_morphism():
 
 
 def test_phi_entry_matches_table():
-    space = interp_type(A, base=2)
-    m = EndoMonoid(space)
-    endos = enumerate_endos(space)
+    m = EndoMonoid(interp_type(A, base=2))
     for w in ["", "0", "01", "110"]:
         table = phi_of_word(A, w)
-        for i, g0 in enumerate(endos):
-            for j, g1 in enumerate(endos):
-                assert phi_entry(A, w, g0, g1).index == table.lookup(i, j), (w, i, j)
+        for i in range(m.count):
+            for j in range(m.count):
+                assert phi_entry(A, w, m.value(i), m.value(j)).index == \
+                    table.lookup(i, j), (w, i, j)
+    # like every End(A) construction, phi_entry refuses |A|^|A| > cap
+    g = EndoMonoid(interp_type(A, base=3)).value(0)
+    with pytest.raises(CapExceeded):
+        phi_entry(A, "0", g, g, base=3, cap=26)
 
 
 def test_phi_iterate_agreement():
