@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .syntax import (
-    App, Arrow, Bang, BangLam, BangType, Lam, Term, Type, TyApp, TyLam,
-    Var, all_names, fresh_name, print_term, print_type, split_occurrences,
-    subst_term, type_alpha_eq,
+    App, Arrow, Bang, BangLam, BangType, Fold, Lam, Term, Type, TyApp, Unfold,
+    Var, all_names, fold_term, fresh_name, print_term, print_type,
+    split_occurrences, subst_term, type_alpha_eq,
 )
 from .typecheck import Context, MUEAL, typecheck
 from .encode import BOOL, STR, church_string, str_of
@@ -140,36 +140,25 @@ def decompose_bang_input(t: Term, fuel: int = DEFAULT_FUEL) -> Decomposition:
     names = []
     taken = set(all_names(body)) | {x}
 
-    def rewrite(s: Term) -> Term:
+    def rewrite(s: Term):
         if x not in s.fvs:
-            return s
+            return None, s
         match s:
             case TyApp(Var(y), sigma) if y == x:
                 sigmas.append(sigma)
                 nm = fresh_name("_s%d" % len(sigmas), taken)
                 taken.add(nm)
                 names.append(nm)
-                return Var(nm)
-            case Var(y) if y == x:
+                return None, Var(nm)
+            case Var():
                 raise UnsupportedShape(
                     "occurrence of the string variable without a type application")
-            case Lam(y, ann, b):
-                return s if y == x else Lam(y, ann, rewrite(b))
-            case BangLam(y, ann, b):
-                return s if y == x else BangLam(y, ann, rewrite(b))
-            case App(f, a):
-                return App(rewrite(f), rewrite(a))
-            case Bang(b):
-                return Bang(rewrite(b))
-            case TyLam(a, b):
-                return TyLam(a, rewrite(b))
-            case TyApp(f, sigma):
-                return TyApp(rewrite(f), sigma)
-            case _:
+            case Fold() | Unfold():
                 raise UnsupportedShape("unexpected node around the string variable: %s"
                                        % print_term(s))
+        return s, None
 
-    core = rewrite(body)
+    core = fold_term(body, rewrite)
     u = core
     for nm, sigma in zip(reversed(names), reversed(sigmas)):
         u = Lam(nm, str_of(sigma), u)
@@ -272,12 +261,14 @@ def extract_semantic(t: Term, base: int = 2, policy: str = POLICY_ERROR,
     monoids = []
     cells_per_state = 0
     for sigma in dec.sigmas:
-        monoid = EndoMonoid(interp_type(truncate_type(sigma), base, policy, cap), cap)
-        if monoid.count ** 2 > cap:
+        space = interp_type(truncate_type(sigma), base, policy, cap)
+        count = space.size ** space.size
+        # |A| decides both caps; EndoMonoid reports End(A) itself over cap
+        if count <= cap < count ** 2:
             raise CapExceeded("pair table over End(%s)" % print_type(sigma),
-                              monoid.count ** 2, cap)
-        monoids.append(monoid)
-        cells_per_state += monoid.count ** 2
+                              count ** 2, cap)
+        monoids.append(EndoMonoid(space, cap))
+        cells_per_state += count ** 2
 
     start = tuple(phi_identity(m, cap) for m in monoids)
     seen = {start}

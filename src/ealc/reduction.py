@@ -18,8 +18,8 @@ from typing import Iterator, Optional
 
 from .syntax import (
     App, Bang, BangLam, Fold, Lam, Path, Term, TyApp, TyLam, TyVar, Unfold,
-    Var, children, erase_annotations, fresh_name, print_term, subst_term,
-    subst_type_in_term,
+    Var, children, erase_annotations, fresh_name, print_term, replace_child,
+    subst_term, subst_type_in_term,
 )
 
 DEFAULT_FUEL = 10 ** 6
@@ -35,39 +35,30 @@ class DecodeError(Exception):
     """A normal form does not have the shape the reader expects."""
 
 
-def _contract(t: Term) -> Optional[Term]:
-    """The four redex shapes, at the root only."""
-    match t:
-        case App(Lam(x, _, body), arg):
-            return subst_term(body, x, arg)
-        case App(BangLam(x, _, body), Bang(arg)):
-            return subst_term(body, x, arg)
-        case TyApp(TyLam(a, body), ty):
-            return subst_type_in_term(body, a, ty)
-        case Unfold(Fold(_, body)):
-            return body
+def _contract_child(p: Term, i: int, c: Term) -> Optional[Term]:
+    """The four redex shapes: the contractum of p with child i replaced
+    by c, or None when that is not a redex.  p itself is never rebuilt."""
+    match p:
+        case App(f, a):
+            f, a = (c, a) if i == 0 else (f, c)
+            match f:
+                case Lam(x, _, body):
+                    return subst_term(body, x, a)
+                case BangLam(x, _, body) if isinstance(a, Bang):
+                    return subst_term(body, x, a.body)
+        case TyApp(_, ty) if isinstance(c, TyLam):
+            return subst_type_in_term(c.body, c.var, ty)
+        case Unfold() if isinstance(c, Fold):
+            return c.body
     return None
 
 
-def _rebuild(t: Term, i: int, c: Term) -> Term:
+def _contract(t: Term) -> Optional[Term]:
+    """The four redex shapes, at the root only."""
     match t:
-        case Lam(x, ty, _):
-            return Lam(x, ty, c)
-        case BangLam(x, ty, _):
-            return BangLam(x, ty, c)
-        case TyLam(a, _):
-            return TyLam(a, c)
-        case App(f, a):
-            return App(c, a) if i == 0 else App(f, c)
-        case Bang(_):
-            return Bang(c)
-        case TyApp(_, ty):
-            return TyApp(c, ty)
-        case Fold(ty, _):
-            return Fold(ty, c)
-        case Unfold(_):
-            return Unfold(c)
-    raise TypeError(t)
+        case App(f, _) | TyApp(f, _) | Unfold(f):
+            return _contract_child(t, 0, f)
+    return None
 
 
 def _reduce(t: Term, fuel: int):
@@ -96,7 +87,7 @@ def _reduce(t: Term, fuel: int):
             steps += 1
             focus = r
             yield frames, focus
-            r = _contract(_rebuild(*frames[-1], focus)) if frames else None
+            r = _contract_child(*frames[-1], focus) if frames else None
             if r is not None:
                 frames.pop()
             else:
@@ -110,7 +101,7 @@ def _reduce(t: Term, fuel: int):
             parent, i = frames.pop()
             kids = children(parent)
             if focus is not kids[i]:
-                parent = _rebuild(parent, i, focus)
+                parent = replace_child(parent, i, focus)
                 kids = children(parent)
             if i + 1 < len(kids):
                 frames.append((parent, i + 1))
@@ -125,7 +116,7 @@ def trace(t: Term, fuel: int = DEFAULT_FUEL) -> Iterator[tuple]:
     """Yield (term, contracted path) pairs until a normal form is reached."""
     for frames, term in _reduce(t, fuel):
         for parent, i in reversed(frames):
-            term = _rebuild(parent, i, term)
+            term = replace_child(parent, i, term)
         yield term, tuple(i for _, i in frames)
 
 
@@ -175,7 +166,7 @@ def contract_at(t: Term, path: Path) -> Term:
             raise ValueError("no redex at %r" % (path,))
         return r
     i = path[0]
-    return _rebuild(t, i, contract_at(children(t)[i], path[1:]))
+    return replace_child(t, i, contract_at(children(t)[i], path[1:]))
 
 
 def normalize_random(t: Term, rng, fuel: int = DEFAULT_FUEL) -> Term:

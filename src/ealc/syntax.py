@@ -9,6 +9,7 @@ Alongside the two ASTs this module provides the syntactic toolbox everything
 else builds on: capture-avoiding substitution, alpha-equivalence, depth maps,
 the stratification check, occurrence splitting and annotation erasure, and
 the pretty-printers (which round-trip through ealc.parser up to alpha).
+Term walks share two explicit-stack traversals, preorder and fold_term.
 """
 
 from __future__ import annotations
@@ -249,10 +250,81 @@ def children(t: Term) -> tuple:
     raise TypeError(t)
 
 
+def replace_child(t: Term, i: int, c: Term) -> Term:
+    """t with child i replaced by c."""
+    match t:
+        case Lam(x, ty, _):
+            return Lam(x, ty, c)
+        case BangLam(x, ty, _):
+            return BangLam(x, ty, c)
+        case TyLam(a, _):
+            return TyLam(a, c)
+        case App(f, a):
+            return App(c, a) if i == 0 else App(f, c)
+        case Bang(_):
+            return Bang(c)
+        case TyApp(_, ty):
+            return TyApp(c, ty)
+        case Fold(ty, _):
+            return Fold(ty, c)
+        case Unfold(_):
+            return Unfold(c)
+    raise TypeError(t)
+
+
+def rebuild(t: Term, kids) -> Term:
+    """t with its children replaced by kids; t itself when none changed."""
+    if all(new is old for new, old in zip(kids, children(t))):
+        return t
+    return App(*kids) if isinstance(t, App) else replace_child(t, 0, kids[0])
+
+
 def subterm_at(t: Term, path: Path) -> Term:
     for i in path:
         t = children(t)[i]
     return t
+
+
+# The term walks below run on an explicit stack, so a term as deep as a
+# long Church string never meets the interpreter's recursion limit.
+
+def preorder(t: Term, enter=None):
+    """Yield (path, bang_depth, s) for each subterm occurrence s of t in
+    preorder; bang_depth counts the bangs above s.  The walk skips what
+    lies below s when enter(s) is false."""
+    stack = [((), 0, t)]
+    while stack:
+        path, depth, s = stack.pop()
+        yield path, depth, s
+        if enter is None or enter(s):
+            kids = children(s)
+            if isinstance(s, Bang):
+                depth += 1
+            for i in reversed(range(len(kids))):
+                stack.append((path + (i,), depth, kids[i]))
+
+
+def fold_term(t: Term, pre, post=rebuild):
+    """Fold t bottom-up.  pre(s) is called on each subterm s in preorder
+    and returns (None, r) when r is the result for s, or (node, None) when
+    the result for s is post(node, [the results for node's children])."""
+    results = []
+    stack = [t]  # subterms to visit, and (node, index) pairs to assemble
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Term):
+            node, r = pre(item)
+            if node is None:
+                results.append(r)
+            else:
+                stack.append((node, len(results)))
+                stack.extend(reversed(children(node)))
+        else:
+            node, k = item
+            r = post(node, results[k:])
+            del results[k:]
+            results.append(r)
+    return results[0]
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -266,17 +338,8 @@ def fresh_name(base: str, avoid) -> str:
 
 def all_names(t: Term) -> frozenset:
     """Every variable name appearing in t, free or bound."""
-    names = set(t.fvs)
-    def walk(s):
-        match s:
-            case Lam(x, _, b) | BangLam(x, _, b):
-                names.add(x)
-                walk(b)
-            case _:
-                for c in children(s):
-                    walk(c)
-    walk(t)
-    return frozenset(names)
+    return t.fvs.union(s.var for _, _, s in preorder(t)
+                       if isinstance(s, (Lam, BangLam)))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +468,35 @@ def _ty_aeq(s, t, envl, envr, depth):
 
 
 def alpha_eq(s: Term, t: Term) -> bool:
-    return _aeq(s, t, {}, {}, {}, {}, 0)
+    # A stack of node pairs, each with its binder environments: term and
+    # type variables map to the binder depth that bound them.
+    stack = [(s, t, {}, {}, {}, {}, 0)]
+    while stack:
+        s, t, el, er, tl, tr, d = stack.pop()
+        ok = True
+        match s, t:
+            case Var(x), Var(y):
+                lx, ly = el.get(x), er.get(y)
+                ok = lx == ly if (lx is not None or ly is not None) else x == y
+            case ((Lam(x, ts, b1), Lam(y, tt, b2))
+                  | (BangLam(x, ts, b1), BangLam(y, tt, b2))):
+                ok = _opt_ty_aeq(ts, tt, tl, tr, d)
+                stack.append((b1, b2, {**el, x: d}, {**er, y: d}, tl, tr, d + 1))
+            case App(f1, a1), App(f2, a2):
+                stack.append((a1, a2, el, er, tl, tr, d))
+                stack.append((f1, f2, el, er, tl, tr, d))
+            case (Bang(b1), Bang(b2)) | (Unfold(b1), Unfold(b2)):
+                stack.append((b1, b2, el, er, tl, tr, d))
+            case TyLam(a, b1), TyLam(b, b2):
+                stack.append((b1, b2, el, er, {**tl, a: d}, {**tr, b: d}, d + 1))
+            case (TyApp(b1, t1), TyApp(b2, t2)) | (Fold(t1, b1), Fold(t2, b2)):
+                ok = _ty_aeq(t1, t2, tl, tr, d)
+                stack.append((b1, b2, el, er, tl, tr, d))
+            case _:
+                return False
+        if not ok:
+            return False
+    return True
 
 
 def _opt_ty_aeq(s, t, tl, tr, d):
@@ -414,66 +505,19 @@ def _opt_ty_aeq(s, t, tl, tr, d):
     return _ty_aeq(s, t, tl, tr, d)
 
 
-def _aeq(s, t, el, er, tl, tr, d):
-    match s, t:
-        case Var(x), Var(y):
-            lx, ly = el.get(x), er.get(y)
-            return lx == ly if (lx is not None or ly is not None) else x == y
-        case Lam(x, ts, b1), Lam(y, tt, b2):
-            return (_opt_ty_aeq(ts, tt, tl, tr, d)
-                    and _aeq(b1, b2, {**el, x: d}, {**er, y: d}, tl, tr, d + 1))
-        case BangLam(x, ts, b1), BangLam(y, tt, b2):
-            return (_opt_ty_aeq(ts, tt, tl, tr, d)
-                    and _aeq(b1, b2, {**el, x: d}, {**er, y: d}, tl, tr, d + 1))
-        case App(f1, a1), App(f2, a2):
-            return _aeq(f1, f2, el, er, tl, tr, d) and _aeq(a1, a2, el, er, tl, tr, d)
-        case Bang(b1), Bang(b2):
-            return _aeq(b1, b2, el, er, tl, tr, d)
-        case TyLam(a, b1), TyLam(b, b2):
-            return _aeq(b1, b2, el, er, {**tl, a: d}, {**tr, b: d}, d + 1)
-        case TyApp(f1, t1), TyApp(f2, t2):
-            return _ty_aeq(t1, t2, tl, tr, d) and _aeq(f1, f2, el, er, tl, tr, d)
-        case Fold(t1, b1), Fold(t2, b2):
-            return _ty_aeq(t1, t2, tl, tr, d) and _aeq(b1, b2, el, er, tl, tr, d)
-        case Unfold(b1), Unfold(b2):
-            return _aeq(b1, b2, el, er, tl, tr, d)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Depth and stratification
 
 def depth_map(t: Term) -> dict:
     """Map each subterm occurrence (by path) to its bang-nesting depth."""
-    out = {}
-    def walk(s, path, depth):
-        out[path] = depth
-        bump = 1 if isinstance(s, Bang) else 0
-        for i, c in enumerate(children(s)):
-            walk(c, path + (i,), depth + bump)
-    walk(t, (), 0)
-    return out
+    return {path: depth for path, depth, _ in preorder(t)}
 
 
-def occurrences(t: Term, x: str) -> list:
-    """Free occurrences of x in t as (path, depth) pairs, preorder."""
-    out = []
-    def walk(s, path, depth):
-        if x not in s.fvs:
-            return
-        match s:
-            case Var(_):
-                out.append((path, depth))
-            case Lam(y, _, b) | BangLam(y, _, b):
-                if y != x:
-                    walk(b, path + (0,), depth)
-            case Bang(b):
-                walk(b, path + (0,), depth + 1)
-            case _:
-                for i, c in enumerate(children(s)):
-                    walk(c, path + (i,), depth)
-    walk(t, (), 0)
-    return out
+def occurrences(t: Term, x: str):
+    """Yield the free occurrences of x in t as (path, depth) pairs, preorder."""
+    for path, depth, s in preorder(t, lambda s: x in s.fvs):
+        if isinstance(s, Var) and s.name == x:
+            yield path, depth
 
 
 @dataclass
@@ -496,32 +540,22 @@ def check_stratification(t: Term):
     at depth 0.  Every typable term satisfies this.
     """
     violations = []
-    def walk(s, path):
-        match s:
-            case BangLam(x, _, b):
-                for occ, depth in occurrences(b, x):
-                    if depth != 1:
-                        violations.append(StratificationViolation(
-                            path, x, path + (0,) + occ,
-                            "occurrence at depth %d under a bang-abstraction" % depth))
-                walk(b, path + (0,))
-            case Lam(x, _, b):
-                occs = occurrences(b, x)
-                for occ, depth in occs:
-                    if depth != 0:
-                        violations.append(StratificationViolation(
-                            path, x, path + (0,) + occ,
-                            "occurrence at depth %d under a linear abstraction" % depth))
-                if len(occs) > 1:
-                    for occ, _ in occs[1:]:
-                        violations.append(StratificationViolation(
-                            path, x, path + (0,) + occ,
-                            "second occurrence of a linear variable"))
-                walk(b, path + (0,))
-            case _:
-                for i, c in enumerate(children(s)):
-                    walk(c, path + (i,))
-    walk(t, ())
+    for path, _, s in preorder(t):
+        if not isinstance(s, (Lam, BangLam)):
+            continue
+        linear = isinstance(s, Lam)
+        kind = "a linear abstraction" if linear else "a bang-abstraction"
+        extra = []
+        for n, (occ, depth) in enumerate(occurrences(s.body, s.var)):
+            if depth != (0 if linear else 1):
+                violations.append(StratificationViolation(
+                    path, s.var, path + (0,) + occ,
+                    "occurrence at depth %d under %s" % (depth, kind)))
+            if linear and n:
+                extra.append(StratificationViolation(
+                    path, s.var, path + (0,) + occ,
+                    "second occurrence of a linear variable"))
+        violations += extra
     return violations
 
 
@@ -532,59 +566,36 @@ def split_occurrences(t: Term, x: str):
     """Replace the free occurrences of x by distinct fresh names x1..xn
     (left-to-right preorder).  Returns (t', [x1..xn]); substituting x back
     for each fresh name recovers t."""
-    n = len(occurrences(t, x))
     avoid = set(all_names(t)) | {x}
     names = []
-    for i in range(1, n + 1):
-        nm = fresh_name(f"{x}{i}", avoid)
-        avoid.add(nm)
-        names.append(nm)
-    it = iter(names)
 
-    def walk(s):
+    def pre(s):
         if x not in s.fvs:
-            return s
-        match s:
-            case Var(_):
-                return Var(next(it))
-            case App(f, a):
-                return App(walk(f), walk(a))
-            case Bang(b):
-                return Bang(walk(b))
-            case TyApp(f, ty):
-                return TyApp(walk(f), ty)
-            case Fold(ty, b):
-                return Fold(ty, walk(b))
-            case Unfold(b):
-                return Unfold(walk(b))
-            case Lam(y, ty, b):
-                return Lam(y, ty, walk(b)) if y != x else s
-            case BangLam(y, ty, b):
-                return BangLam(y, ty, walk(b)) if y != x else s
-            case TyLam(a, b):
-                return TyLam(a, walk(b))
-        raise TypeError(s)
+            return None, s
+        if isinstance(s, Var):
+            names.append(fresh_name(f"{x}{len(names) + 1}", avoid))
+            avoid.add(names[-1])
+            return None, Var(names[-1])
+        return s, None
 
-    return walk(t), names
+    return fold_term(t, pre), names
+
+
+def _erase_node(s: Term, kids) -> Term:
+    match s:
+        case Lam(x, _, _):
+            return Lam(x, None, kids[0])
+        case BangLam(x, _, _):
+            return BangLam(x, None, kids[0])
+        case TyLam() | TyApp() | Fold() | Unfold():
+            return kids[0]
+    return rebuild(s, kids)
 
 
 def erase_annotations(t: Term) -> Term:
     """Drop type abstractions/applications, fold/unfold and binder
     annotations, leaving the plain affine term skeleton."""
-    match t:
-        case Var():
-            return t
-        case Lam(x, _, b):
-            return Lam(x, None, erase_annotations(b))
-        case BangLam(x, _, b):
-            return BangLam(x, None, erase_annotations(b))
-        case App(f, a):
-            return App(erase_annotations(f), erase_annotations(a))
-        case Bang(b):
-            return Bang(erase_annotations(b))
-        case TyLam(_, b) | TyApp(b, _) | Fold(_, b) | Unfold(b):
-            return erase_annotations(b)
-    raise TypeError(t)
+    return fold_term(t, lambda s: (s, None), _erase_node)
 
 
 # ---------------------------------------------------------------------------
@@ -616,38 +627,39 @@ def _pty(t: Type, prec: int) -> str:
 
 
 def print_term(t: Term) -> str:
-    return _ptm(t, 0)
+    return fold_term(t, lambda s: (s, None), _print_node)[0]
 
 
 def _ann(ty: Optional[Type]) -> str:
     return "" if ty is None else ":" + _pty(ty, 2)
 
 
-def _ptm(t: Term, prec: int) -> str:
+def _at(kid: tuple, prec: int) -> str:
+    """A printed child in a position of precedence prec."""
+    text, level = kid
+    return "(%s)" % text if prec >= level else text
+
+
+def _print_node(t: Term, kids) -> tuple:
+    """(text, level): the text of t and the least precedence at which it
+    needs parentheses (4: never)."""
     match t:
         case Var(x):
-            return x
-        case Lam(x, ty, b):
-            s = "\\%s%s. %s" % (x, _ann(ty), _ptm(b, 0))
-            return "(%s)" % s if prec >= 1 else s
-        case BangLam(x, ty, b):
-            s = "\\!%s%s. %s" % (x, _ann(ty), _ptm(b, 0))
-            return "(%s)" % s if prec >= 1 else s
-        case TyLam(a, b):
-            s = "/\\%s. %s" % (a, _ptm(b, 0))
-            return "(%s)" % s if prec >= 1 else s
-        case App(f, a):
-            s = "%s %s" % (_ptm(f, 1), _ptm(a, 2))
-            return "(%s)" % s if prec >= 2 else s
-        case TyApp(f, ty):
-            s = "%s [%s]" % (_ptm(f, 1), _pty(ty, 0))
-            return "(%s)" % s if prec >= 2 else s
-        case Bang(b):
-            return "!" + _ptm(b, 3)
-        case Fold(ty, b):
-            s = "fold[%s] %s" % (_pty(ty, 0), _ptm(b, 3))
-            return "(%s)" % s if prec >= 2 else s
-        case Unfold(b):
-            s = "unfold %s" % _ptm(b, 3)
-            return "(%s)" % s if prec >= 2 else s
+            return x, 4
+        case Lam(x, ty, _):
+            return "\\%s%s. %s" % (x, _ann(ty), kids[0][0]), 1
+        case BangLam(x, ty, _):
+            return "\\!%s%s. %s" % (x, _ann(ty), kids[0][0]), 1
+        case TyLam(a, _):
+            return "/\\%s. %s" % (a, kids[0][0]), 1
+        case App():
+            return "%s %s" % (_at(kids[0], 1), _at(kids[1], 2)), 2
+        case TyApp(_, ty):
+            return "%s [%s]" % (_at(kids[0], 1), _pty(ty, 0)), 2
+        case Bang():
+            return "!" + _at(kids[0], 3), 4
+        case Fold(ty, _):
+            return "fold[%s] %s" % (_pty(ty, 0), _at(kids[0], 3)), 2
+        case Unfold():
+            return "unfold %s" % _at(kids[0], 3), 2
     raise TypeError(t)

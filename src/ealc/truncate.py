@@ -15,8 +15,8 @@ types mentioning mu are rejected.
 from __future__ import annotations
 
 from .syntax import (
-    App, Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu, Term, Type,
-    TyApp, TyLam, TyVar, UNIT, Unfold, Var, print_type,
+    Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu, Term, Type, TyApp,
+    TyLam, TyVar, UNIT, Unfold, Var, fold_term, print_type, rebuild,
 )
 
 
@@ -43,23 +43,26 @@ def _unit_id() -> Term:
     return TyLam("a", Lam("x", TyVar("a"), Var("x")))
 
 
-def truncate_term(t: Term) -> Term:
-    match t:
-        case Var():
-            return t
+def _truncate_pre(s: Term):
+    match s:
         case Bang(_):
-            return _unit_id()
+            return None, _unit_id()
         case BangLam(x, _, body):
-            return Lam(x, UNIT, truncate_term(body))
-        case Lam(x, ann, body):
-            ann2 = None if ann is None else truncate_type(ann)
-            return Lam(x, ann2, truncate_term(body))
-        case App(f, a):
-            return App(truncate_term(f), truncate_term(a))
-        case TyLam(a, body):
-            return TyLam(a, truncate_term(body))
-        case TyApp(f, ty):
-            return TyApp(truncate_term(f), truncate_type(ty))
+            return Lam(x, UNIT, body), None
+        case Lam(x, ann, body) if ann is not None:
+            return Lam(x, truncate_type(ann), body), None
         case Fold(_, _) | Unfold(_):
             raise TruncationError("cannot truncate fold/unfold terms")
-    raise TypeError(t)
+    return s, None
+
+
+def _truncate_post(s: Term, kids) -> Term:
+    # the type argument is truncated after the function, so the error
+    # reported is the first fold or mu met in reading order
+    if isinstance(s, TyApp):
+        return TyApp(kids[0], truncate_type(s.ty))
+    return rebuild(s, kids)
+
+
+def truncate_term(t: Term) -> Term:
+    return fold_term(t, _truncate_pre, _truncate_post)

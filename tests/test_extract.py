@@ -261,6 +261,19 @@ def test_semantic_cap_exceeded_on_quantified_sigma():
         extract_semantic(t, base=2, policy=POLICY_BASE)
 
 
+def test_pair_table_cap_is_checked_before_the_end_table(monkeypatch):
+    # |A| decides the pair-table cap, so End(A) (7^7 entries here) is
+    # never built; End(A) over the cap is still reported first
+    def unbuilt(space, cap):
+        raise AssertionError("End(A) was built")
+    monkeypatch.setattr("ealc.extract.EndoMonoid", unbuilt)
+    with pytest.raises(CapExceeded, match=r"^pair table over End\(a\)"):
+        extract_semantic(const_decider(True), base=7)
+    monkeypatch.undo()
+    with pytest.raises(CapExceeded, match=r"^End\(a\) needs 16777216"):
+        extract_semantic(const_decider(True), base=8)
+
+
 def test_membership_oracle_shapes():
     banged = promote(compile_dfa(PARITY), 1, 1, EAL)
     plain = compile_dfa(PARITY)

@@ -3,11 +3,12 @@ import pytest
 from ealc import (
     App, Arrow, Bang, BangLam, BangType, Forall, Lam,
     TyVar, TypeStructureError, UNIT, Var, alpha_eq, bool_term,
-    check_stratification, church_string, depth_map, erase_annotations,
-    is_unit, parse_term, parse_type, print_term, print_type, ParseError,
-    split_occurrences, subst_term, subst_type, type_alpha_eq,
+    check_stratification, church_string, decode_church_string, depth_map,
+    erase_annotations, is_unit, parse_term, parse_type, print_term,
+    print_type, ParseError,
+    split_occurrences, subst_term, subst_type, truncate_term, type_alpha_eq,
 )
-from ealc.syntax import occurrences
+from ealc.syntax import all_names, occurrences
 
 from corpus import EAL_CLOSED, MUEAL_CLOSED
 
@@ -176,7 +177,7 @@ def test_depth_map_examples():
     # inside a Church string the step functions are used at depth 1
     w = church_string("0")
     under_f0 = w.body.body  # strip /\a and \!f0
-    occs = occurrences(under_f0, "f0")
+    occs = list(occurrences(under_f0, "f0"))
     assert occs and all(d == 1 for _, d in occs)
 
 
@@ -237,3 +238,36 @@ def test_erase_examples():
 def test_is_unit_recognizes_alpha_variants():
     assert is_unit(parse_type("forall b. b -o b"))
     assert not is_unit(parse_type("forall b. b -o b -o b"))
+
+
+# -- deep terms ---------------------------------------------------------------
+
+def test_walks_on_a_long_church_string():
+    # Every term walk runs on an explicit stack, so a Church string of 10^4
+    # letters (a term 10^4 deep) passes each one at the default recursion
+    # limit.
+    w = "0110" * 2500
+    t = church_string(w)
+    inner = t.body.body.body.body  # \x:a. f_{w1} (... (f_{wn} x))
+    spine = " (".join("f" + c for c in w) + " x" + ")" * (len(w) - 1)
+    assert print_term(t) == r"/\a. \!f0:(a -o a). \!f1:(a -o a). !(\x:a. %s)" % spine
+    assert all_names(t) == {"f0", "f1", "x"}
+    assert check_stratification(t) == []
+    assert decode_church_string(t) == w
+    assert alpha_eq(t, church_string(w))
+    assert not alpha_eq(t, church_string(w[:-1] + "1"))
+    assert {d for _, d in occurrences(t.body.body, "f0")} == {1}
+    assert sum(1 for _ in occurrences(inner, "f1")) == w.count("1")
+    assert alpha_eq(truncate_term(inner), inner)
+    erased = Var("x")
+    for c in reversed(w):
+        erased = App(Var("f" + c), erased)
+    assert alpha_eq(erase_annotations(inner), Lam("x", None, erased))
+    # A term's free names and depth_map's paths grow with its depth, so
+    # these two walks are quadratic in it; 1200 letters are already past
+    # the recursion limit.
+    short = church_string(w[:1200])
+    dm = depth_map(short)
+    assert len(dm) == 2 * 1200 + 6 and dm[(0,) * 5 + (1,) * 1200] == 1
+    t2, names = split_occurrences(short.body.body.body.body, "f1")
+    assert len(names) == w[:1200].count("1") and "f1" not in t2.fvs
