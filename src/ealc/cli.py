@@ -5,7 +5,7 @@ the corresponding library function and prints the result.  Identical inputs
 and flags produce byte-identical outputs.
 
 Exit codes: 0 success, 1 parse/type error, 2 unsupported shape,
-3 resource cap, fuel or recursion depth exhausted, 4 verification
+3 resource cap, fuel, recursion depth or memory exhausted, 4 verification
 mismatch.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import encode
+from . import encode, extract
 from .extract import (
     UnsupportedShape, VerificationFailed, extract_lstar, extract_semantic,
     verify_dfa,
@@ -118,14 +118,17 @@ def _cmd_truncate(args) -> int:
 def _cmd_extract(args) -> int:
     term = parse_term(_read(args.file))
     policy = POLICY_BASE if args.forall_policy == "base" else POLICY_ERROR
+    # one oracle, so the re-check reads the extraction's cached verdicts
+    query = extract.membership_oracle(term, args.fuel)
     if args.method == "lstar":
         d = extract_lstar(term, max_len=args.max_len, seed=args.seed,
-                          fuel=args.fuel)
+                          fuel=args.fuel, query=query)
     else:
         d = extract_semantic(term, base=args.base, policy=policy,
-                             cap=args.cap, verify_len=None, fuel=args.fuel)
+                             cap=args.cap, verify_len=None, fuel=args.fuel,
+                             query=query)
     if args.verify is not None:
-        report = verify_dfa(d, term, args.verify, fuel=args.fuel)
+        report = verify_dfa(d, term, args.verify, query=query)
         print(report, file=sys.stderr)
         if not report.ok:
             _emit(dfa_to_json(d), args.output)
@@ -256,8 +259,8 @@ def main(argv=None) -> int:
     except (UnsupportedShape, SemanticsUnsupported, TruncationError) as e:
         print("unsupported: %s" % e, file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (FuelExhausted, CapExceeded, RecursionError) as e:
-        print("resource limit: %s" % e, file=sys.stderr)
+    except (FuelExhausted, CapExceeded, RecursionError, MemoryError) as e:
+        print("resource limit: %s" % (str(e) or "out of memory"), file=sys.stderr)
         return EXIT_RESOURCE
     except VerificationFailed as e:
         print("verification failed: %s" % e, file=sys.stderr)

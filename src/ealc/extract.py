@@ -34,7 +34,7 @@ from .syntax import (
 )
 from .typecheck import Context, MUEAL, typecheck
 from .encode import BOOL, STR, church_string, str_of
-from .reduction import normalize, read_bool, DEFAULT_FUEL
+from .reduction import DEFAULT_FUEL, Evaluator, normalize, read_bool
 from .regcompile import (
     ALPHABET, Dfa, all_words, explore, minimize, numbered_dfa,
 )
@@ -77,17 +77,29 @@ def _decision_shape(t: Term, mode: str = MUEAL) -> str:
 
 
 def membership_oracle(t: Term, fuel: int = DEFAULT_FUEL) -> Callable[[str], bool]:
-    """read_bool(normalize(t w)), with the bang on the argument matching
-    t's input type; queries are cached."""
-    shape = _decision_shape(t)
+    """The verdict of read_bool(t w), with the bang on the argument matching
+    t's input type; queries are cached.
+
+    t is evaluated once, on the first query, and applied to each word as a
+    native value.  A result that does not evaluate to a boolean, or a word
+    that is not binary, goes to read_bool itself, which raises the error."""
+    banged = _decision_shape(t) == "bang"
+    evaluator = Evaluator(fuel)
+    value = None
     cache = {}
 
     def query(w: str) -> bool:
+        nonlocal value
         if w not in cache:
-            arg = church_string(w)
-            if shape == "bang":
-                arg = Bang(arg)
-            cache[w] = read_bool(App(t, arg), fuel)
+            verdict = None
+            if not w.strip("01"):
+                if value is None:
+                    value = evaluator.evaluate(t)
+                verdict = evaluator.decide(value, w, banged)
+            if verdict is None:
+                arg = church_string(w)
+                verdict = read_bool(App(t, Bang(arg) if banged else arg), fuel)
+            cache[w] = verdict
         return cache[w]
 
     return query
@@ -249,14 +261,16 @@ def truncated_iterator(parts: IteratorParts) -> IteratorParts:
 
 def extract_semantic(t: Term, base: int = 2, policy: str = POLICY_ERROR,
                      cap: int = DEFAULT_CAP, verify_len: Optional[int] = 10,
-                     fuel: int = DEFAULT_FUEL) -> Dfa:
+                     fuel: int = DEFAULT_FUEL,
+                     query: Optional[Callable[[str], bool]] = None) -> Dfa:
     """BFS the tuples of per-occurrence pair tables; acceptance of a state
     is the term's verdict on its shortest witness word.  Raises CapExceeded
     when any enumerated space outgrows `cap` and VerificationFailed when
     the bounded re-check disagrees (only possible for state spaces the
-    heuristic policy failed to separate)."""
+    heuristic policy failed to separate).  `query` is t's membership
+    oracle when the caller keeps one."""
     dec = decompose_bang_input(t, fuel)
-    query = membership_oracle(t, fuel)
+    query = query or membership_oracle(t, fuel)
 
     monoids = []
     cells_per_state = 0
@@ -303,15 +317,17 @@ def extract_semantic(t: Term, base: int = 2, policy: str = POLICY_ERROR,
 # Learning extraction
 
 def extract_lstar(t: Term, max_len: int = 10, seed: int = 0,
-                  fuel: int = DEFAULT_FUEL, random_samples: int = 200) -> Dfa:
+                  fuel: int = DEFAULT_FUEL, random_samples: int = 200,
+                  query: Optional[Callable[[str], bool]] = None) -> Dfa:
     """Observation-table learning with the term as membership oracle.
 
     Counterexample handling adds every suffix of the counterexample to the
     test suffixes, so only table closedness needs restoring.  The final
     hypothesis has survived a full equivalence pass: exhaustive on words up
     to max_len plus `random_samples` seeded draws up to twice that length.
+    `query` is t's membership oracle when the caller keeps one.
     """
-    query = membership_oracle(t, fuel)
+    query = query or membership_oracle(t, fuel)
     rng = random.Random(seed)
 
     prefixes = [""]
@@ -392,9 +408,11 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def verify_dfa(d: Dfa, t: Term, max_len: int, fuel: int = DEFAULT_FUEL) -> VerifyReport:
-    """Compare the automaton with the term on every word up to max_len."""
-    return _compare(d, membership_oracle(t, fuel), max_len)
+def verify_dfa(d: Dfa, t: Term, max_len: int, fuel: int = DEFAULT_FUEL,
+               query: Optional[Callable[[str], bool]] = None) -> VerifyReport:
+    """Compare the automaton with the term on every word up to max_len.
+    `query` is t's membership oracle when the caller keeps one."""
+    return _compare(d, query or membership_oracle(t, fuel), max_len)
 
 
 def _compare(d: Dfa, query: Callable, max_len: int) -> VerifyReport:

@@ -10,6 +10,10 @@ The strategy is leftmost-outermost over four redex shapes:
 The calculus is confluent and normalizing, so the strategy only pins down
 the reduction sequence, not the result.  Everything here also works on
 open and on erased terms.
+
+Evaluator decides the same booleans without rewriting: it evaluates terms
+to Python values in environments (normalization by evaluation, Berger and
+Schwichtenberg, LICS 1991) and takes words as native values.
 """
 
 from __future__ import annotations
@@ -179,6 +183,188 @@ def normalize_random(t: Term, rng, fuel: int = DEFAULT_FUEL) -> Term:
     if not redex_paths(t):
         return t
     raise FuelExhausted(fuel)
+
+
+# -- evaluation ----------------------------------------------------------------
+#
+# Values: _Closure (\x or \!x with its environment), _TyClosure, _Box (a
+# bang, whose _Thunk is evaluated on first use and then shared), _Folded,
+# _Word, and _Neutral for whatever is stuck.  Environments are linked
+# frames (name, value, next); a \!x frame holds the box's _Thunk.
+
+class _Neutral:
+    """A stuck value.  Type application and unfold leave a neutral as it
+    is, since erasure removes them; every other elimination is _STUCK."""
+    __slots__ = ()
+
+
+_STUCK = _Neutral()
+
+
+class _Closure:
+    __slots__ = ("var", "body", "env", "bang")
+
+    def __init__(self, var, body, env, bang):
+        self.var, self.body, self.env, self.bang = var, body, env, bang
+
+
+class _TyClosure:
+    __slots__ = ("body", "env")
+
+    def __init__(self, body, env):
+        self.body, self.env = body, env
+
+
+class _Thunk:
+    __slots__ = ("term", "env", "value")
+
+    def __init__(self, term, env, value=None):
+        self.term, self.env, self.value = term, env, value
+
+
+class _Box:
+    __slots__ = ("thunk",)
+
+    def __init__(self, thunk):
+        self.thunk = thunk
+
+
+class _Folded:
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
+class _Word:
+    """The Church string /\\a. \\!f0. \\!f1. !(\\x. f_{w1} (... (f_{wn} x)))
+    as a native value.  Type application passes it through, two boxes fix
+    the step functions, and the iterator in the resulting box loops over
+    reversed(w), so no stack grows with |w|."""
+    __slots__ = ("w", "steps")
+
+    def __init__(self, w, steps=()):
+        self.w, self.steps = w, steps
+
+
+class Evaluator:
+    """Evaluate terms to values and read booleans off them; a free
+    variable is stuck.
+
+    The contractions are those of _reduce: beta, bang-beta when the
+    argument's value is a box, type-beta (types are dropped, since no
+    term-level redex depends on them) and unfold-fold.  Arguments of \\x
+    are evaluated before the call; a box is evaluated only when a \\!x
+    variable bound to it is used, once.  Each evaluate or decide call may
+    make `fuel` contractions and raises FuelExhausted(fuel) past that.
+    """
+
+    def __init__(self, fuel: int = DEFAULT_FUEL):
+        if fuel <= 0:
+            raise ValueError("fuel must be positive")
+        self.fuel = fuel
+        self._left = fuel
+
+    def evaluate(self, t: Term):
+        """The value of the closed term t."""
+        self._left = self.fuel
+        return self._eval(t, None)
+
+    def decide(self, f, w: str, banged: bool) -> Optional[bool]:
+        """Apply the value f to the native word w, boxed when `banged`, and
+        read the boolean: None when the result is not one, so that the
+        caller can consult read_bool for the diagnosis."""
+        self._left = self.fuel
+        arg = _Word(w)
+        if banged:
+            arg = _Box(_Thunk(None, None, arg))
+        v = self._apply(f, arg)
+        while True:  # erasure drops folds and type abstractions
+            if type(v) is _Box:
+                v = self._force(v.thunk)
+            elif type(v) is _TyClosure:
+                v = self._eval(v.body, v.env)
+            elif type(v) is _Folded:
+                v = v.value
+            else:
+                break
+        x, y = _Neutral(), _Neutral()
+        for n in (x, y):
+            if type(v) is not _Closure or v.bang:
+                return None
+            v = self._eval(v.body, (v.var, n, v.env))
+        return True if v is x else False if v is y else None
+
+    def _contract(self):
+        self._left -= 1
+        if self._left < 0:
+            raise FuelExhausted(self.fuel)
+
+    def _force(self, thunk):
+        if thunk.term is not None:
+            thunk.value = self._eval(thunk.term, thunk.env)
+            thunk.term = thunk.env = None
+        return thunk.value
+
+    def _eval(self, t, env):
+        cls = type(t)
+        if cls is App:
+            return self._apply(self._eval(t.fn, env), self._eval(t.arg, env))
+        if cls is Var:
+            name = t.name
+            while env is not None:
+                if env[0] == name:
+                    v = env[1]
+                    return self._force(v) if type(v) is _Thunk else v
+                env = env[2]
+            return _STUCK  # a free variable
+        if cls is Lam:
+            return _Closure(t.var, t.body, env, False)
+        if cls is BangLam:
+            return _Closure(t.var, t.body, env, True)
+        if cls is Bang:
+            return _Box(_Thunk(t.body, env))
+        if cls is TyLam:
+            return _TyClosure(t.body, env)
+        if cls is TyApp:
+            f = self._eval(t.fn, env)
+            if type(f) is _TyClosure:
+                self._contract()
+                return self._eval(f.body, f.env)
+            if type(f) is _Word and not f.steps:
+                self._contract()
+                return f
+            return f if type(f) is _Neutral else _STUCK
+        if cls is Fold:
+            return _Folded(self._eval(t.body, env))
+        if cls is Unfold:
+            v = self._eval(t.body, env)
+            if type(v) is _Folded:
+                self._contract()
+                return v.value
+            return v if type(v) is _Neutral else _STUCK
+        raise TypeError(t)
+
+    def _apply(self, f, a):
+        if type(f) is _Closure:
+            if not f.bang:
+                self._contract()
+                return self._eval(f.body, (f.var, a, f.env))
+            if type(a) is _Box:
+                self._contract()
+                return self._eval(f.body, (f.var, a.thunk, f.env))
+        elif type(f) is _Word:
+            if len(f.steps) == 2:
+                self._contract()  # \x. f_{w1} (... (f_{wn} x))
+                f0, f1 = f.steps
+                for c in reversed(f.w):
+                    a = self._apply(self._force(f1 if c == "1" else f0), a)
+                return a
+            if type(a) is _Box:
+                self._contract()
+                word = _Word(f.w, f.steps + (a.thunk,))
+                return word if len(word.steps) < 2 else _Box(_Thunk(None, None, word))
+        return _STUCK
 
 
 # -- readers -----------------------------------------------------------------

@@ -2,13 +2,14 @@ import json
 
 import pytest
 
+import ealc.extract
 from ealc.cli import main
 from ealc import (
     alpha_eq, cast_term, church_string, compile_dfa, dfa_from_json,
     dfa_to_json, parse_term, print_term,
 )
 
-from corpus import CONTAINS_11, PARITY
+from corpus import CONTAINS_11, PARITY, const_decider
 
 
 def write(path, text):
@@ -202,6 +203,29 @@ def test_recursion_error_is_a_resource_limit(monkeypatch, capsys):
     assert main(["encode", "--nat", "1"]) == 3
     assert capsys.readouterr().err == \
         "resource limit: maximum recursion depth exceeded\n"
+
+
+def test_memory_error_is_a_resource_limit(monkeypatch, capsys):
+    def big(term):
+        raise MemoryError()
+    monkeypatch.setattr("ealc.cli.print_term", big)
+    assert main(["encode", "--nat", "1"]) == 3
+    assert capsys.readouterr().err == "resource limit: out of memory\n"
+
+
+@pytest.mark.parametrize("method", ["lstar", "semantic"])
+def test_extract_verify_builds_one_oracle(tmp_path, monkeypatch, method):
+    built = []
+    oracle = ealc.extract.membership_oracle
+
+    def counted(t, *args):
+        built.append(t)
+        return oracle(t, *args)
+    monkeypatch.setattr("ealc.extract.membership_oracle", counted)
+    f = write(tmp_path / "const.eal", print_term(const_decider(True)) + "\n")
+    assert main(["extract", f, "--method", method, "--verify", "4",
+                 "-o", str(tmp_path / "x.json")]) == 0
+    assert len(built) == 1
 
 
 def test_long_word_encodes(capsys):

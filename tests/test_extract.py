@@ -4,18 +4,22 @@ import random
 import pytest
 
 from ealc import (
-    App, Arrow, Bang, BangLam, BOOL, CapExceeded, EAL, Lam, STR,
-    TyApp, TyVar, UnsupportedShape, Var, alpha_eq, bool_term, church_string,
-    compile_dfa, decompose_bang_input, decompose_iterator, dfa, dfa_equiv,
-    extract_lstar, extract_semantic, minimize, normalize,
-    transition_monoid, truncated_iterator, typecheck_closed, verify_dfa,
+    App, Arrow, Bang, BangLam, BOOL, CapExceeded, DecodeError, EAL, Fold,
+    FuelExhausted, Lam, STR, TyApp, TyVar, Unfold, UnsupportedShape, Var,
+    alpha_eq, bool_term, church_string, compile_dfa, compile_monoid,
+    decompose_bang_input, decompose_iterator, dfa, dfa_equiv, dfa_to_json,
+    extract_lstar, extract_semantic, minimize, normalize, print_term,
+    read_bool, regex_to_dfa, transition_monoid, truncated_iterator,
+    typecheck_closed, verify_dfa,
 )
 from ealc import monoid_ty, promote, type_alpha_eq
-from ealc.extract import membership_oracle
+from ealc.cli import main
+from ealc.extract import _DECISION_TYPES, _decision_shape, membership_oracle
+from ealc.reduction import Evaluator, trace
 from ealc.semantics import POLICY_BASE, POLICY_ERROR
 
 from corpus import (
-    ALL_STRINGS, CONTAINS_11, PARITY, REFERENCE_DFAS, const_decider,
+    ALL_STRINGS, CONTAINS_11, DIV3, PARITY, REFERENCE_DFAS, const_decider,
     two_type_uses_decider,
 )
 
@@ -281,6 +285,129 @@ def test_membership_oracle_shapes():
     qp = membership_oracle(plain)
     for w in ["", "1", "11"]:
         assert qb(w) == qp(w) == PARITY.run(w)
+
+
+# -- the oracle's evaluator against the rewriting reader ------------------------
+
+def _bang_bool_decider():
+    """\\!x:Str. !((\\!d. true) (x [a] !id !id)), of type !Str -o !Bool."""
+    a = TyVar("a")
+    ida = Lam("v", a, Var("v"))
+    subject = App(App(TyApp(Var("x"), a), Bang(ida)), Bang(ida))
+    return BangLam("x", STR, Bang(App(BangLam("d", Arrow(a, a), bool_term(True)),
+                                      subject)))
+
+
+def _decider(name):
+    kind, _, rest = name.partition(":")
+    if kind in ("dfa", "promoted"):
+        t = compile_dfa(dict((n, d) for n, d, _ in REFERENCE_DFAS)[rest])
+        return t if kind == "dfa" else promote(t, 1, 1, EAL)
+    if kind == "monoid":
+        regex = "(0|1)*1" + "(0|1)" * int(rest)
+        return compile_monoid(transition_monoid(regex_to_dfa(regex)))
+    return {"const-true": const_decider(True),
+            "const-false-plain": const_decider(False, banged_input=False),
+            "two-uses": two_type_uses_decider(),
+            "bang-bool": _bang_bool_decider()}[rest]
+
+
+DECIDERS = ([kind + ":" + n for n, _, _ in REFERENCE_DFAS for kind in ("dfa", "promoted")]
+            + ["monoid:%d" % k for k in range(5)]
+            + ["hand:const-true", "hand:const-false-plain", "hand:two-uses",
+               "hand:bang-bool"])
+
+
+def test_deciders_cover_the_three_decision_types():
+    covered = {i for n in DECIDERS for i, (_, want) in enumerate(_DECISION_TYPES)
+               if type_alpha_eq(typecheck_closed(EAL, _decider(n)), want)}
+    assert covered == {0, 1, 2}
+
+
+def _no_rewriting(*args):
+    raise AssertionError("the oracle fell back to rewriting")
+
+
+@pytest.mark.parametrize("name", DECIDERS)
+def test_oracle_matches_read_bool(name, monkeypatch):
+    # the oracle may not fall back, so every verdict is the evaluator's
+    monkeypatch.setattr("ealc.extract.read_bool", _no_rewriting)
+    monkeypatch.setattr("ealc.extract.church_string", _no_rewriting)
+    t = _decider(name)
+    banged = _decision_shape(t) == "bang"
+    query = membership_oracle(t)
+    for w in words(8):
+        arg = church_string(w)
+        assert query(w) == read_bool(App(t, Bang(arg) if banged else arg)), w
+
+
+def test_oracle_decides_long_words():
+    # the word is a native iterator, so |w| = 10^4 needs no deeper stack
+    rng = random.Random(5)
+    w = "".join(rng.choice("01") for _ in range(10 ** 4))
+    for name in ("dfa:div3", "promoted:div3"):
+        query = membership_oracle(_decider(name))
+        for v in (w, w + "0", w + "1"):
+            assert query(v) == DIV3.run(v), (name, len(v))
+
+
+def test_oracle_fuel(tmp_path, capsys):
+    t = compile_dfa(PARITY)
+    with pytest.raises(FuelExhausted, match=r"^no normal form after 5 reduction steps$"):
+        membership_oracle(t, fuel=5)("0110")
+    # on a compiled recognizer evaluation makes the engine's contractions
+    steps = sum(1 for _ in trace(App(t, church_string("0110"))))
+    assert membership_oracle(t, fuel=steps)("0110") == PARITY.run("0110")
+    with pytest.raises(FuelExhausted):
+        membership_oracle(t, fuel=steps - 1)("0110")
+    with pytest.raises(FuelExhausted):
+        Evaluator(fuel=1).evaluate(App(Lam("x", None, Var("x")), App(
+            Lam("y", None, Var("y")), Var("z"))))
+    term = tmp_path / "parity.eal"
+    term.write_text(print_term(t) + "\n", encoding="utf-8")
+    automaton = tmp_path / "parity.json"
+    automaton.write_text(dfa_to_json(PARITY), encoding="utf-8")
+    assert main(["verify", str(term), "--dfa", str(automaton), "--fuel", "5"]) == 3
+    assert capsys.readouterr().err == \
+        "resource limit: no normal form after 5 reduction steps\n"
+
+
+def test_evaluator_reads_booleans_as_erasure_does():
+    # untyped bodies under \\!w. !_: the evaluator reads a boolean exactly
+    # when read_bool does, and returns None where read_bool raises
+    x, y, a = Var("x"), Var("y"), TyVar("a")
+    ida = Lam("z", None, Var("z"))
+    iterate = App(App(TyApp(Var("w"), a), Bang(ida)), Bang(ida))
+    bodies = [
+        Lam("x", None, Lam("y", None, TyApp(x, a))),
+        Lam("x", None, Lam("y", None, Unfold(y))),
+        Lam("x", None, Lam("y", None, Unfold(Fold(a, x)))),
+        Lam("x", None, Lam("x", None, x)),
+        bool_term(False),
+        Fold(a, Bang(bool_term(True))),
+        App(BangLam("d", None, Lam("x", None, Lam("y", None, App(Var("d"), x)))),
+            iterate),
+        Lam("x", None, Lam("y", None, App(BangLam("d", None, x), y))),
+        Lam("x", None, Bang(Lam("y", None, x))),
+        Lam("x", None, Lam("y", None, App(x, y))),
+        Lam("x", None, Lam("y", None, Var("free"))),
+    ]
+    for body in bodies:
+        t = BangLam("w", None, Bang(body))
+        evaluator = Evaluator()
+        f = evaluator.evaluate(t)
+        for w in ("", "0", "10"):
+            try:
+                want = read_bool(App(t, Bang(church_string(w))))
+            except DecodeError:
+                want = None
+            assert evaluator.decide(f, w, True) is want, (print_term(body), w)
+
+
+def test_oracle_rejects_non_binary_words():
+    query = membership_oracle(compile_dfa(PARITY))
+    with pytest.raises(ValueError, match="not a binary string"):
+        query("012")
 
 
 # -- verification ------------------------------------------------------------------
