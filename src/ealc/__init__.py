@@ -38,9 +38,8 @@ from .semantics import (
     SemanticsUnsupported, eval_term, interp_type, phi_entry, phi_of_word,
 )
 from .extract import (
-    Decomposition, IteratorParts, UnsupportedShape, VerificationFailed,
-    decompose_bang_input, decompose_iterator, extract_lstar, extract_semantic,
-    truncated_iterator, verify_dfa,
+    Decomposition, UnsupportedShape, VerificationFailed, decompose_bang_input,
+    extract_lstar, extract_semantic, verify_dfa,
 )
 
 __version__ = "0.1.0"

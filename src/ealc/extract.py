@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .syntax import (
-    App, Arrow, Bang, BangLam, BangType, Fold, Lam, Term, Type, TyApp, Unfold,
-    Var, all_names, fold_term, fresh_name, print_term, print_type,
-    split_occurrences, subst_term, type_alpha_eq,
+    App, Arrow, Bang, BangLam, BangType, Fold, Lam, Term, TyApp, Unfold, Var,
+    all_names, fold_term, fresh_name, print_term, print_type, type_alpha_eq,
 )
 from .typecheck import Context, MUEAL, typecheck
 from .encode import BOOL, STR, church_string, str_of
@@ -42,7 +41,7 @@ from .semantics import (
     CapExceeded, DEFAULT_CAP, EndoMonoid, POLICY_ERROR, interp_type,
     phi_identity,
 )
-from .truncate import truncate_term, truncate_type
+from .truncate import truncate_type
 
 
 class UnsupportedShape(Exception):
@@ -177,85 +176,6 @@ def decompose_bang_input(t: Term, fuel: int = DEFAULT_FUEL) -> Decomposition:
     return Decomposition(u, len(sigmas), sigmas, bang_peel, shape == "bang")
 
 
-@dataclass
-class IteratorParts:
-    """u s and !(g h ... h) share a normal form whenever s !f0 !f1 -> !h."""
-    f0: Term
-    f1: Term
-    g: Term
-    m: int
-    sigma: Type
-
-    def step_type(self) -> Type:
-        return Arrow(self.sigma, self.sigma)
-
-
-def decompose_iterator(u: Term, fuel: int = DEFAULT_FUEL) -> IteratorParts:
-    """Match the nested let-bang chain whose innermost subject is
-    x !f0 !f1 (the n = 1 analysis).  Anything else is unsupported; callers
-    fall back to the semantic or learning route."""
-    nf = normalize(u, fuel)
-    match nf:
-        case Lam(x, ann, body) if ann is not None:
-            match ann:
-                case Arrow(BangType(Arrow(s1, s2)), _) if type_alpha_eq(s1, s2):
-                    sigma = s1
-                case _:
-                    raise UnsupportedShape(
-                        "argument type %s is not Str[sigma]" % print_type(ann))
-        case _:
-            raise UnsupportedShape("not a unary abstraction: %s" % print_term(nf))
-
-    if x not in body.fvs:
-        match body:
-            case Bang(g):
-                return IteratorParts(_id_step(sigma), _id_step(sigma), g, 0, sigma)
-            case _:
-                raise UnsupportedShape("constant body is not a bang: %s"
-                                       % print_term(body))
-
-    lets = []  # (name, inner term of the bang)
-    v = body
-    while True:
-        match v:
-            case App(App(Var(y), Bang(f0)), Bang(f1)) if y == x:
-                if f0.fvs or f1.fvs:
-                    raise UnsupportedShape("step functions are not closed")
-                break
-            case App(BangLam(y, _, Bang(p)), subject):
-                if x in p.fvs:
-                    raise UnsupportedShape(
-                        "string variable occurs outside the innermost subject")
-                lets.append((y, p))
-                v = subject
-            case _:
-                raise UnsupportedShape(
-                    "body is not a let-bang chain over the string application: %s"
-                    % print_term(v))
-
-    avoid = set(all_names(nf))
-    z = fresh_name("z", avoid)
-    r = Var(z)
-    for y, p in reversed(lets):
-        r = subst_term(p, y, r)
-    r2, names = split_occurrences(r, z)
-    tau = Arrow(sigma, sigma)
-    g = r2
-    for nm in reversed(names):
-        g = Lam(nm, tau, g)
-    return IteratorParts(f0, f1, g, len(names), sigma)
-
-
-def _id_step(sigma: Type) -> Term:
-    return Lam("s", Arrow(sigma, sigma), Var("s"))
-
-
-def truncated_iterator(parts: IteratorParts) -> IteratorParts:
-    sigma = truncate_type(parts.sigma)
-    return IteratorParts(truncate_term(parts.f0), truncate_term(parts.f1),
-                         truncate_term(parts.g), parts.m, sigma)
-
-
 # ---------------------------------------------------------------------------
 # Semantic extraction (witness BFS over word-morphism states)
 
@@ -316,17 +236,26 @@ def extract_semantic(t: Term, base: int = 2, policy: str = POLICY_ERROR,
 # ---------------------------------------------------------------------------
 # Learning extraction
 
+RANDOM_SAMPLES = 200  # seeded draws per equivalence pass beyond max_len
+
+
+def _check_bound(max_len: int):
+    if max_len < 0:
+        raise ValueError("length bound must be non-negative, got %d" % max_len)
+
+
 def extract_lstar(t: Term, max_len: int = 10, seed: int = 0,
-                  fuel: int = DEFAULT_FUEL, random_samples: int = 200,
+                  fuel: int = DEFAULT_FUEL,
                   query: Optional[Callable[[str], bool]] = None) -> Dfa:
     """Observation-table learning with the term as membership oracle.
 
     Counterexample handling adds every suffix of the counterexample to the
     test suffixes, so only table closedness needs restoring.  The final
     hypothesis has survived a full equivalence pass: exhaustive on words up
-    to max_len plus `random_samples` seeded draws up to twice that length.
+    to max_len plus RANDOM_SAMPLES seeded draws up to twice that length.
     `query` is t's membership oracle when the caller keeps one.
     """
+    _check_bound(max_len)
     query = query or membership_oracle(t, fuel)
     rng = random.Random(seed)
 
@@ -367,7 +296,7 @@ def extract_lstar(t: Term, max_len: int = 10, seed: int = 0,
         for w in all_words(max_len):
             if h.run(w) != query(w):
                 return w
-        for _ in range(random_samples):
+        for _ in range(RANDOM_SAMPLES):
             n = rng.randint(max_len + 1, 2 * max_len) if max_len > 0 else 0
             w = "".join(rng.choice(ALPHABET) for _ in range(n))
             if h.run(w) != query(w):
@@ -416,6 +345,7 @@ def verify_dfa(d: Dfa, t: Term, max_len: int, fuel: int = DEFAULT_FUEL,
 
 
 def _compare(d: Dfa, query: Callable, max_len: int) -> VerifyReport:
+    _check_bound(max_len)
     report = VerifyReport(checked=0, max_len=max_len)
     for w in all_words(max_len):
         report.checked += 1

@@ -77,9 +77,12 @@ def _reduce(t: Term, fuel: int):
     when the scan climbs past a changed child.
 
     Yields (frames, focus) after each contraction; both are live and valid
-    until the engine resumes.  Returns the normal form.  Raises
-    FuelExhausted(fuel) on finding a redex once fuel contractions are made.
+    until the engine resumes.  Returns the normal form.  Raises ValueError
+    unless fuel is positive, and FuelExhausted(fuel) on finding a redex once
+    fuel contractions are made.
     """
+    if fuel <= 0:
+        raise ValueError("fuel must be positive")
     frames = []
     focus = t
     steps = 0
@@ -136,8 +139,6 @@ def step(t: Term) -> Optional[Term]:
 
 
 def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
-    if fuel <= 0:
-        raise ValueError("fuel must be positive")
     engine = _reduce(t, fuel)
     while True:
         try:

@@ -380,16 +380,6 @@ class MonoidPresentation:
         return self.phi(w) in self.accept
 
 
-def monoid_to_dict(m: MonoidPresentation) -> dict:
-    return {
-        "size": m.size,
-        "table": [list(r) for r in m.table],
-        "gen0": m.gen0,
-        "gen1": m.gen1,
-        "accept": sorted(m.accept),
-    }
-
-
 def monoid_from_dict(obj: dict) -> MonoidPresentation:
     if not isinstance(obj, dict):
         raise AutomatonError("monoid must be a JSON object")
@@ -413,10 +403,6 @@ def monoid_from_dict(obj: dict) -> MonoidPresentation:
 
 def monoid_from_json(text: str) -> MonoidPresentation:
     return monoid_from_dict(json.loads(text))
-
-
-def monoid_to_json(m: MonoidPresentation) -> str:
-    return json.dumps(monoid_to_dict(m), sort_keys=True) + "\n"
 
 
 def transition_monoid(d: Dfa) -> MonoidPresentation:

@@ -279,12 +279,6 @@ def rebuild(t: Term, kids) -> Term:
     return App(*kids) if isinstance(t, App) else replace_child(t, 0, kids[0])
 
 
-def subterm_at(t: Term, path: Path) -> Term:
-    for i in path:
-        t = children(t)[i]
-    return t
-
-
 # The term walks below run on an explicit stack, so a term as deep as a
 # long Church string never meets the interpreter's recursion limit.
 

@@ -93,6 +93,38 @@ def test_promote(tmp_path, capsys):
     assert out.startswith("\\!x1")
 
 
+@pytest.mark.parametrize("fuel", ["0", "-3"])
+@pytest.mark.parametrize("source", [r"(\x:Bool. x) (/\a. \x:a. \y:a. x)",
+                                    r"/\a. \x:a. \y:a. x"],
+                         ids=["reducible", "normal"])
+@pytest.mark.parametrize("steps", [[], ["--show-steps"]], ids=["nf", "steps"])
+def test_norm_fuel_must_be_positive(tmp_path, capsys, fuel, source, steps):
+    # one check in the engine, whichever view of it the command runs
+    f = write(tmp_path / "t.eal", source)
+    assert main(["norm", f, "--fuel", fuel] + steps) == 1
+    assert capsys.readouterr() == ("", "error: fuel must be positive\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{term}", "--dfa", "{dfa}", "--max-len", "-1"],
+    ["extract", "{term}", "--method", "lstar", "--max-len", "-2"],
+    ["extract", "{term}", "--method", "lstar", "--verify", "-1"],
+], ids=["verify-max-len", "extract-max-len", "extract-verify"])
+def test_negative_length_bound_is_an_input_error(tmp_path, capsys, argv):
+    # contains-11 and parity disagree on "", so no bound below 0 may pass
+    term = write(tmp_path / "c11.eal", print_term(compile_dfa(CONTAINS_11)) + "\n")
+    d = write(tmp_path / "parity.json", dfa_to_json(PARITY))
+    out = tmp_path / "out.json"
+    argv = [a.format(term=term, dfa=d) for a in argv]
+    if argv[0] == "extract":
+        argv += ["-o", str(out)]
+    assert main(argv) == 1
+    std = capsys.readouterr()
+    assert std.out == ""
+    assert std.err.startswith("error: length bound must be non-negative")
+    assert not out.exists()
+
+
 def test_compile_regex_extract_verify(tmp_path):
     term_file = str(tmp_path / "odd1s.eal")
     json_file = str(tmp_path / "out.json")

@@ -4,13 +4,12 @@ import random
 import pytest
 
 from ealc import (
-    App, Arrow, Bang, BangLam, BOOL, CapExceeded, DecodeError, EAL, Fold,
+    App, Arrow, Bang, BangLam, CapExceeded, DecodeError, EAL, Fold,
     FuelExhausted, Lam, STR, TyApp, TyVar, Unfold, UnsupportedShape, Var,
     alpha_eq, bool_term, church_string, compile_dfa, compile_monoid,
-    decompose_bang_input, decompose_iterator, dfa, dfa_equiv, dfa_to_json,
-    extract_lstar, extract_semantic, minimize, normalize, print_term,
-    read_bool, regex_to_dfa, transition_monoid, truncated_iterator,
-    typecheck_closed, verify_dfa,
+    decompose_bang_input, dfa, dfa_equiv, dfa_to_json, extract_lstar,
+    extract_semantic, minimize, normalize, print_term, read_bool,
+    regex_to_dfa, transition_monoid, typecheck_closed, verify_dfa,
 )
 from ealc import monoid_ty, promote, type_alpha_eq
 from ealc.cli import main
@@ -108,112 +107,6 @@ def test_decomposition_contract_random_words():
 def test_decompose_rejects_wrong_type():
     with pytest.raises(UnsupportedShape):
         decompose_bang_input(bool_term(True))
-
-
-# -- iterator decomposition -------------------------------------------------------
-
-def test_iterator_of_compiled_parity():
-    dec = decompose_bang_input(compile_dfa(PARITY))
-    parts = decompose_iterator(dec.u)
-    assert parts.m == 1
-    assert type_alpha_eq(parts.sigma, monoid_ty(2))
-    # f0 is the identity action, f1 the toggle
-    m = transition_monoid(PARITY)
-    assert m.gen0 == 1
-
-
-def test_iterator_constant():
-    # constant case: \x:Str[sigma]. !true
-    from ealc.encode import str_of
-    u = Lam("x", str_of(TyVar("b")), Bang(bool_term(True)))
-    parts = decompose_iterator(u)
-    assert parts.m == 0
-    assert alpha_eq(parts.g, bool_term(True))
-
-
-def test_iterator_two_lets():
-    # hand-built two-let chain: let !d = x !f0 !f1 in (let-shape nesting)
-    from ealc.encode import str_of
-    b = TyVar("b")
-    idb = Lam("v", b, Var("v"))
-    inner = App(App(Var("x"), Bang(idb)), Bang(idb))
-    chain = App(BangLam("d1", Arrow(b, b),
-                        Bang(App(Var("d1"), Var("q")))),
-                App(BangLam("d2", Arrow(b, b), Bang(Var("d2"))), inner))
-    # close over q so the chain is a function of it; keep x the string arg
-    u = Lam("x", str_of(b), App(BangLam("d1", Arrow(b, b), Bang(Var("d1"))),
-                                App(BangLam("d2", Arrow(b, b), Bang(Var("d2"))),
-                                    inner)))
-    parts = decompose_iterator(u)
-    assert parts.m == 1  # d2 flows through d1 into a single hole
-    s = church_string("01")
-    h = normalize(App(App(TyApp(s, b), Bang(parts.f0)), Bang(parts.f1)))
-    assert isinstance(h, Bang)
-    lhs = normalize(App(u, TyApp(s, b)))
-    body = parts.g
-    for _ in range(parts.m):
-        body = App(body, h.body)
-    assert alpha_eq(lhs, normalize(Bang(body)))
-
-
-def test_iterator_contract_on_words():
-    dec = decompose_bang_input(compile_dfa(PARITY))
-    parts = decompose_iterator(dec.u)
-    for w in words(8):
-        s = church_string(w)
-        h = normalize(App(App(TyApp(s, parts.sigma), Bang(parts.f0)),
-                          Bang(parts.f1)))
-        assert isinstance(h, Bang)
-        lhs = normalize(App(dec.u, TyApp(s, parts.sigma)))
-        body = parts.g
-        for _ in range(parts.m):
-            body = App(body, h.body)
-        assert alpha_eq(lhs, normalize(Bang(body))), w
-
-
-def test_truncated_iterator_contract():
-    dec = decompose_bang_input(compile_dfa(PARITY))
-    parts = decompose_iterator(dec.u)
-    tp = truncated_iterator(parts)
-    for w in words(8):
-        s = church_string(w)
-        h = normalize(App(App(TyApp(s, tp.sigma), Bang(tp.f0)), Bang(tp.f1)))
-        assert isinstance(h, Bang)
-        lhs = normalize(App(dec.u, TyApp(s, parts.sigma)))
-        body = tp.g
-        for _ in range(tp.m):
-            body = App(body, h.body)
-        assert alpha_eq(lhs, normalize(Bang(body))), w
-
-
-def test_truncated_iterator_with_real_bangs():
-    # step functions containing bangs truncate to unit plumbing but keep
-    # the same observable verdicts
-    from ealc.encode import str_of
-    f_bangy = Lam("b", BOOL, App(BangLam("y", BOOL, Var("b")),
-                                 Bang(bool_term(True))))
-    u = Lam("x", str_of(BOOL),
-            App(BangLam("d", Arrow(BOOL, BOOL),
-                        Bang(App(Var("d"), bool_term(True)))),
-                App(App(Var("x"), Bang(f_bangy)), Bang(f_bangy))))
-    typecheck_closed(EAL, u)
-    parts = decompose_iterator(u)
-    tp = truncated_iterator(parts)
-    assert typecheck_closed(EAL, tp.f0) is not None
-    for w in ["", "0", "01"]:
-        s = church_string(w)
-        h = normalize(App(App(TyApp(s, tp.sigma), Bang(tp.f0)), Bang(tp.f1)))
-        lhs = normalize(App(u, TyApp(s, parts.sigma)))
-        body = tp.g
-        for _ in range(tp.m):
-            body = App(body, h.body)
-        assert alpha_eq(lhs, normalize(Bang(body))), w
-
-
-def test_iterator_refuses_n2():
-    dec = decompose_bang_input(two_type_uses_decider())
-    with pytest.raises(UnsupportedShape):
-        decompose_iterator(dec.u)
 
 
 # -- learning extraction --------------------------------------------------------

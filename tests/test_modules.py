@@ -1,9 +1,12 @@
 import ast
+import collections
 import pathlib
+import re
 
 import ealc
 
 SRC = pathlib.Path(ealc.__file__).parent
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def test_no_function_local_imports():
@@ -38,3 +41,42 @@ def test_term_walks_do_not_recurse():
                 if node.name in calls and node.name not in allowed:
                     recursive.append("%s:%s" % (name, node.name))
     assert recursive == []
+
+
+def _names_used(node):
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Name):
+            yield inner.id
+        elif isinstance(inner, ast.Attribute):
+            yield inner.attr
+
+
+def test_every_definition_has_a_caller():
+    # A top-level function or class of ealc must be used somewhere besides
+    # its own body and the package's export list: in ealc or in the tests.
+    files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
+             for p in files + sorted(TESTS.glob("*.py"))}
+    used = collections.Counter()
+    for tree in trees.values():
+        used.update(_names_used(tree))
+    unused = []
+    for path in files:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            own = sum(1 for name in _names_used(node) if name == node.name)
+            if used[node.name] == own:
+                unused.append("%s:%s" % (path.name, node.name))
+    assert unused == []
+
+
+def test_readme_library_snippet_runs():
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    blocks = list(re.finditer(r"```python\n(.*?)```", readme, re.S))
+    assert blocks
+    for block in blocks:
+        # pad with the lines above, so a traceback names README's own line
+        above = readme.count("\n", 0, block.start(1))
+        exec(compile("\n" * above + block.group(1), "README.md", "exec"), {})
