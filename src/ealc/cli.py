@@ -120,6 +120,8 @@ def _cmd_extract(args) -> int:
     policy = POLICY_BASE if args.forall_policy == "base" else POLICY_ERROR
     # one oracle, so the re-check reads the extraction's cached verdicts
     query = extract.membership_oracle(term, args.fuel)
+    if args.verify is not None:
+        extract.check_length_bound(args.verify)
     if args.method == "lstar":
         d = extract_lstar(term, max_len=args.max_len, seed=args.seed,
                           fuel=args.fuel, query=query)

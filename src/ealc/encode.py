@@ -157,12 +157,14 @@ def scott_string(w: str) -> Term:
     strs = scott_str_ty()
     a = TyVar("a")
     arm = Arrow(strs, a)
-    if w == "":
-        body: Term = Var("x")
-    else:
-        f = "f0" if w[0] == "0" else "f1"
-        body = App(Var(f), scott_string(w[1:]))
-    return Fold(strs, TyLam("a", Lam("f0", arm, Lam("f1", arm, Lam("x", a, body)))))
+
+    def node(body: Term) -> Term:
+        return Fold(strs, TyLam("a", Lam("f0", arm, Lam("f1", arm, Lam("x", a, body)))))
+
+    term = node(Var("x"))
+    for c in reversed(w):  # innermost first, so no recursion per letter
+        term = node(App(Var("f" + c), term))
+    return term
 
 
 def scott_cons(c: str) -> Term:

@@ -189,6 +189,8 @@ def extract_semantic(t: Term, base: int = 2, policy: str = POLICY_ERROR,
     the bounded re-check disagrees (only possible for state spaces the
     heuristic policy failed to separate).  `query` is t's membership
     oracle when the caller keeps one."""
+    if cap < 1:
+        raise ValueError("cell cap must be >= 1, got %d" % cap)
     dec = decompose_bang_input(t, fuel)
     query = query or membership_oracle(t, fuel)
 
@@ -239,7 +241,7 @@ def extract_semantic(t: Term, base: int = 2, policy: str = POLICY_ERROR,
 RANDOM_SAMPLES = 200  # seeded draws per equivalence pass beyond max_len
 
 
-def _check_bound(max_len: int):
+def check_length_bound(max_len: int):
     if max_len < 0:
         raise ValueError("length bound must be non-negative, got %d" % max_len)
 
@@ -255,7 +257,7 @@ def extract_lstar(t: Term, max_len: int = 10, seed: int = 0,
     to max_len plus RANDOM_SAMPLES seeded draws up to twice that length.
     `query` is t's membership oracle when the caller keeps one.
     """
-    _check_bound(max_len)
+    check_length_bound(max_len)
     query = query or membership_oracle(t, fuel)
     rng = random.Random(seed)
 
@@ -345,7 +347,7 @@ def verify_dfa(d: Dfa, t: Term, max_len: int, fuel: int = DEFAULT_FUEL,
 
 
 def _compare(d: Dfa, query: Callable, max_len: int) -> VerifyReport:
-    _check_bound(max_len)
+    check_length_bound(max_len)
     report = VerifyReport(checked=0, max_len=max_len)
     for w in all_words(max_len):
         report.checked += 1

@@ -47,7 +47,8 @@ class CapExceeded(Exception):
 
 @dataclass(frozen=True, eq=False)
 class FiniteSet:
-    """Interpretation of a type; `ty` records which one (provenance).
+    """Interpretation of a type; `ty` records which one, and is the type
+    of every value in the set (the evaluator reads types off values).
 
     Equality is by shape (sizes, recursively through function spaces):
     two interpretations of alpha-equal types are interchangeable."""
@@ -89,6 +90,8 @@ def interp_type(ty: Type, base: int = 2, policy: str = POLICY_ERROR,
                 cap: int = DEFAULT_CAP) -> FiniteSet:
     if base < 1:
         raise ValueError("base size must be >= 1")
+    if cap < 1:
+        raise ValueError("cell cap must be >= 1, got %d" % cap)
     if policy not in POLICIES:
         raise ValueError("unknown forall policy %r" % policy)
     if is_unit(ty):
@@ -187,60 +190,51 @@ def _synth(t: Term, tyctx: dict) -> Type:
 
 def eval_term(t: Term, env: Optional[dict] = None, base: int = 2,
               policy: str = POLICY_ERROR, cap: int = DEFAULT_CAP) -> FrameValue:
-    """Compositional evaluation; env maps free variables to FrameValues
-    (their types are read off the value spaces)."""
-    env = env or {}
-    tyctx = {x: v.space.ty for x, v in env.items()}
-    _, val = _eval(t, tyctx, env, base, policy, cap)
-    return val
+    """Compositional evaluation; env maps free variables to FrameValues.
+    A value's type is its space's `ty`, so types are read off values."""
+    return _eval(t, env or {}, base, policy, cap)
 
 
-def _eval(t, tyctx, env, base, policy, cap):
+def _eval(t, env, base, policy, cap):
     def interp(ty):
         return interp_type(ty, base, policy, cap)
 
     match t:
         case Var(x):
-            return tyctx[x], env[x]
+            if x not in env:
+                raise SemanticsUnsupported("free variable %s has no value" % x)
+            return env[x]
         case Lam(x, ann, body):
             if ann is None:
                 raise SemanticsUnsupported("unannotated binder %s" % x)
             dom = interp(ann)
-            outs = []
-            bty = None
-            for i in range(dom.size):
-                bty, v = _eval(body, {**tyctx, x: ann},
-                               {**env, x: FrameValue(dom, i)}, base, policy, cap)
-                outs.append(v.index)
-            if bty is None:  # empty domain cannot happen (sizes >= 1)
-                raise SemanticsUnsupported("empty domain")
-            ty = Arrow(ann, bty)
-            space = interp(ty)
-            return ty, make_fn(space, outs)
+            outs = [_eval(body, {**env, x: FrameValue(dom, i)}, base, policy, cap)
+                    for i in range(dom.size)]
+            return make_fn(interp(Arrow(ann, outs[-1].space.ty)),
+                           [v.index for v in outs])
         case App(f, a):
-            fty, fv = _eval(f, tyctx, env, base, policy, cap)
-            _, av = _eval(a, tyctx, env, base, policy, cap)
+            fv = _eval(f, env, base, policy, cap)
+            av = _eval(a, env, base, policy, cap)
+            fty = fv.space.ty
             if is_unit(fty) or not isinstance(fty, Arrow):
                 raise SemanticsUnsupported("application of a non-arrow value")
             result = apply_value(fv, av)
-            if is_unit(fty.dst):
-                return fty.dst, unit_point()
-            return fty.dst, result
+            return unit_point() if is_unit(fty.dst) else result
         case TyLam(a, body):
-            ty = Forall(a, _synth(body, tyctx))
-            if is_unit(ty):
-                return ty, unit_point()
+            if is_unit(Forall(a, _synth(body, {x: v.space.ty for x, v in env.items()}))):
+                return unit_point()
             if policy == POLICY_ERROR:
                 raise SemanticsUnsupported(
                     "type abstraction under policy error: %s" % print_term(t))
-            bty, v = _eval(body, tyctx, env, base, policy, cap)
-            return Forall(a, bty), v
+            v = _eval(body, env, base, policy, cap)
+            return FrameValue(interp(Forall(a, v.space.ty)), v.index)
         case TyApp(f, ann):
-            fty, fv = _eval(f, tyctx, env, base, policy, cap)
+            fv = _eval(f, env, base, policy, cap)
+            fty = fv.space.ty
             if is_unit(fty):
                 # the only value of the unit is the identity
                 space = interp(Arrow(ann, ann))
-                return Arrow(ann, ann), make_fn(space, range(space.dom.size))
+                return make_fn(space, range(space.dom.size))
             if policy == POLICY_ERROR:
                 raise SemanticsUnsupported(
                     "type application under policy error: %s" % print_term(t))
@@ -248,7 +242,7 @@ def _eval(t, tyctx, env, base, policy, cap):
                 raise SemanticsUnsupported("type application of non-quantified term")
             rty = subst_type(fty.body, fty.var, ann)
             if is_unit(rty):
-                return rty, unit_point()
+                return unit_point()
             rspace = interp(rty)
             if rspace.size != fv.space.size:
                 raise SemanticsUnsupported(
@@ -256,9 +250,9 @@ def _eval(t, tyctx, env, base, policy, cap):
                     "(%d vs %d); the base-instantiation heuristic cannot "
                     "represent this" % (print_type(fty), print_type(ann),
                                         rspace.size, fv.space.size))
-            return rty, FrameValue(rspace, fv.index)
+            return FrameValue(rspace, fv.index)
     # exponentials, fixpoints, anything else
-    return _synth(t, tyctx), None  # _synth raises with a precise message
+    return _synth(t, {})  # _synth raises with a precise message
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ Judgements have a context split into three disjoint zones:
 
 gamma holds linear variables (used at most once, at depth 0), delta holds
 banged variables (usable only inside a bang, one level down), theta holds
-temporary variables introduced when a bang body is checked.  Affine splitting
-of gamma across applications is implemented by threading the set of consumed
-gamma variables instead of enumerating context splits; delta and theta are
-shared between the two premises of an application.
+temporary variables introduced when a bang body is checked.  One environment
+maps each name to its zone and type.  A premise that typechecks uses exactly
+the gamma variables among its free variables, so affine splitting of gamma
+across an application is a disjointness check on free variables; delta and
+theta are shared between the two premises.
 
 Checking is purely synthesizing: annotations make the type of every term
 unique, and an expected type is only compared (up to alpha) at the root.
@@ -40,6 +41,8 @@ FORALL_NOT_LINEAR = "forall-instantiation-not-linear"
 BANG_ESCAPE = "bang-body-escape"
 MISMATCH = "mismatch"
 MU_IN_EAL = "mu-in-eal-mode"
+
+LINEAR, BANG_BOUND, TEMPORARY = "linear", "bang-bound", "temporary"  # the zones
 
 
 class TypeCheckError(Exception):
@@ -91,8 +94,9 @@ def typecheck(mode: str, ctx: Context, t: Term) -> Type:
     if mode not in MODES:
         raise ValueError("unknown mode %r" % mode)
     ctx.validate()
-    ty, _ = _infer(mode, dict(ctx.gamma), dict(ctx.delta), dict(ctx.theta), t, ())
-    return ty
+    zones = {LINEAR: ctx.gamma, BANG_BOUND: ctx.delta, TEMPORARY: ctx.theta}
+    env = {x: (zone, ty) for zone, m in zones.items() for x, ty in m.items()}
+    return _infer(mode, env, t, ())
 
 
 def typecheck_closed(mode: str, t: Term, expected: Optional[Type] = None) -> Type:
@@ -109,29 +113,21 @@ def _gate_mu(mode, ty, path):
                              "type %s uses mu outside mueal mode" % print_type(ty))
 
 
-def _without(m: dict, x: str) -> dict:
-    if x in m:
-        m = dict(m)
-        del m[x]
-    return m
-
-
-def _infer(mode, gamma, delta, theta, t, path):
-    """Return (type, consumed gamma variables)."""
+def _infer(mode, env, t, path):
+    """Return the type of t; env maps each name in scope to (zone, type)."""
     match t:
         #                                    -----------------------
         # variable rules                     G, x:A | D | H |- x : A
         #                                    G | D | H, x:T |- x : T
         case Var(x):
-            if x in gamma:
-                return gamma[x], frozenset((x,))
-            if x in theta:
-                return theta[x], frozenset()
-            if x in delta:
+            if x not in env:
+                raise TypeCheckError(UNBOUND, path, "unbound variable %s" % x)
+            zone, ty = env[x]
+            if zone == BANG_BOUND:
                 raise TypeCheckError(
                     ZONE_MISUSE, path,
                     "%s is bang-bound; it can only be used inside a !(...) body" % x)
-            raise TypeCheckError(UNBOUND, path, "unbound variable %s" % x)
+            return ty
 
         #                      G, x:A | D | H |- t : T
         # linear abstraction   -------------------------
@@ -145,10 +141,7 @@ def _infer(mode, gamma, delta, theta, t, path):
                 raise TypeCheckError(
                     CLASS_VIOLATION, path,
                     "linear abstraction over non-linear type %s" % print_type(ann))
-            ty, used = _infer(mode, {**_without(gamma, x), x: ann},
-                              _without(delta, x), _without(theta, x),
-                              body, path + (0,))
-            return Arrow(ann, ty), used - {x}
+            return Arrow(ann, _infer(mode, {**env, x: (LINEAR, ann)}, body, path + (0,)))
 
         #                      G | D, x:!S | H |- t : T
         # bang abstraction     -------------------------
@@ -158,48 +151,47 @@ def _infer(mode, gamma, delta, theta, t, path):
                 raise TypeCheckError(CLASS_VIOLATION, path,
                                      "binder %s needs a type annotation" % x)
             _gate_mu(mode, ann, path)
-            ty, used = _infer(mode, _without(gamma, x),
-                              {**_without(delta, x), x: BangType(ann)},
-                              _without(theta, x), body, path + (0,))
-            return Arrow(BangType(ann), ty), used
+            ty = _infer(mode, {**env, x: (BANG_BOUND, BangType(ann))}, body, path + (0,))
+            return Arrow(BangType(ann), ty)
 
         #               G | D | H |- t : S -o T    G' | D | H |- u : S
         # application   ----------------------------------------------
         #               G + G' | D | H |- t u : T      (G, G' disjoint)
         case App(fn, arg):
-            fn_ty, used_f = _infer(mode, gamma, delta, theta, fn, path + (0,))
+            fn_ty = _infer(mode, env, fn, path + (0,))
             if not isinstance(fn_ty, Arrow):
                 raise TypeCheckError(
                     MISMATCH, path + (0,),
                     "applied term has type %s, not an arrow" % print_type(fn_ty))
-            arg_ty, used_a = _infer(mode, gamma, delta, theta, arg, path + (1,))
-            shared = used_f & used_a
+            arg_ty = _infer(mode, env, arg, path + (1,))
+            # both premises typecheck, so their linear names are the
+            # linear names among their free variables
+            shared = sorted(x for x in fn.fvs & arg.fvs if env[x][0] == LINEAR)
             if shared:
                 raise TypeCheckError(
                     NONLINEAR, path,
                     "linear variable%s %s used in both function and argument"
-                    % ("s" if len(shared) > 1 else "", ", ".join(sorted(shared))))
+                    % ("s" if len(shared) > 1 else "", ", ".join(shared)))
             if not type_alpha_eq(fn_ty.src, arg_ty):
                 raise TypeCheckError(
                     MISMATCH, path + (1,),
                     "argument has type %s, expected %s"
                     % (print_type(arg_ty), print_type(fn_ty.src)))
-            return fn_ty.dst, used_f | used_a
+            return fn_ty.dst
 
         #             0 | 0 | H |- t : S
         # promotion   ----------------------------     (fv(t) demoted from D)
         #             G | !H, D | H' |- !t : !S
         case Bang(body):
-            theta2 = {}
+            demoted = {}
             for x in sorted(body.fvs):
-                if x not in delta:
-                    where = "linear" if x in gamma else ("temporary" if x in theta else "unbound")
+                zone, ty = env.get(x, ("unbound", None))
+                if zone != BANG_BOUND:
                     raise TypeCheckError(
                         BANG_ESCAPE, path,
-                        "free variable %s of a bang body is %s, not bang-bound" % (x, where))
-                theta2[x] = delta[x].body
-            ty, _ = _infer(mode, {}, {}, theta2, body, path + (0,))
-            return BangType(ty), frozenset()
+                        "free variable %s of a bang body is %s, not bang-bound" % (x, zone))
+                demoted[x] = (TEMPORARY, ty.body)
+            return BangType(_infer(mode, demoted, body, path + (0,)))
 
         #                    G | D | H |- t : S      (a not free in G, D, H;
         # quantifier intro   ------------------------   S strictly linear)
@@ -209,20 +201,18 @@ def _infer(mode, gamma, delta, theta, t, path):
             # the binder collides with a type variable of the context we
             # alpha-rename it, so only genuine capture is rejected (by the
             # strict-linearity check on the synthesized body type below).
-            ctx_ftv = frozenset().union(
-                *(ty.ftv for zone in (gamma, delta, theta) for ty in zone.values()),
-                frozenset())
+            ctx_ftv = frozenset().union(*(ty.ftv for _, ty in env.values()))
             if a in ctx_ftv:
                 a2 = fresh_name(a, ctx_ftv | body.ftv)
                 body = subst_type_in_term(body, a, TyVar(a2))
                 a = a2
-            ty, used = _infer(mode, gamma, delta, theta, body, path + (0,))
+            ty = _infer(mode, env, body, path + (0,))
             if not is_strictly_linear(ty):
                 raise TypeCheckError(
                     CLASS_VIOLATION, path,
                     "cannot quantify over body of type %s (not strictly linear)"
                     % print_type(ty))
-            return Forall(a, ty), used
+            return Forall(a, ty)
 
         #                    G | D | H |- t : forall a. S
         # quantifier elim    ------------------------------  (A linear)
@@ -234,12 +224,12 @@ def _infer(mode, gamma, delta, theta, t, path):
                     FORALL_NOT_LINEAR, path,
                     "quantifiers can only be instantiated at linear types, got %s"
                     % print_type(ann))
-            fn_ty, used = _infer(mode, gamma, delta, theta, fn, path + (0,))
+            fn_ty = _infer(mode, env, fn, path + (0,))
             if not isinstance(fn_ty, Forall):
                 raise TypeCheckError(
                     MISMATCH, path + (0,),
                     "type application to a term of type %s" % print_type(fn_ty))
-            return subst_type(fn_ty.body, fn_ty.var, ann), used
+            return subst_type(fn_ty.body, fn_ty.var, ann)
 
         # mu-fold / mu-unfold (mueal only)
         case Fold(ann, body):
@@ -249,20 +239,20 @@ def _infer(mode, gamma, delta, theta, t, path):
                 raise TypeCheckError(
                     MISMATCH, path, "fold annotation %s is not a mu type" % print_type(ann))
             unrolled = subst_type(ann.body, ann.var, ann)
-            ty, used = _infer(mode, gamma, delta, theta, body, path + (0,))
+            ty = _infer(mode, env, body, path + (0,))
             if not type_alpha_eq(ty, unrolled):
                 raise TypeCheckError(
                     MISMATCH, path,
                     "fold body has type %s, expected %s" % (print_type(ty), print_type(unrolled)))
-            return ann, used
+            return ann
         case Unfold(body):
             if mode == EAL:
                 raise TypeCheckError(MU_IN_EAL, path, "unfold outside mueal mode")
-            ty, used = _infer(mode, gamma, delta, theta, body, path + (0,))
+            ty = _infer(mode, env, body, path + (0,))
             if not isinstance(ty, Mu):
                 raise TypeCheckError(
                     MISMATCH, path + (0,),
                     "unfold of a term of type %s" % print_type(ty))
-            return subst_type(ty.body, ty.var, ty), used
+            return subst_type(ty.body, ty.var, ty)
 
     raise TypeError("not a term: %r" % (t,))

@@ -5,8 +5,9 @@ import pytest
 import ealc.extract
 from ealc.cli import main
 from ealc import (
-    alpha_eq, cast_term, church_string, compile_dfa, dfa_from_json,
-    dfa_to_json, parse_term, print_term,
+    STR, Bang, BangLam, alpha_eq, bool_term, cast_term, church_string,
+    compile_dfa, dfa_from_json, dfa_to_json, parse_term, print_term,
+    scott_string,
 )
 
 from corpus import CONTAINS_11, PARITY, const_decider
@@ -266,6 +267,41 @@ def test_long_word_encodes(capsys):
     w = "01" * 5000
     assert main(["encode", "--string", w]) == 0
     assert capsys.readouterr().out == print_term(church_string(w)) + "\n"
+
+
+def test_long_scott_word_encodes(capsys):
+    # scott_string builds the term in a loop, one letter at a time
+    w = "01" * 5000
+    assert main(["encode", "--scott", w]) == 0
+    assert capsys.readouterr().out == print_term(scott_string(w)) + "\n"
+
+
+def test_negative_verify_bound_fails_before_extraction(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("extraction ran before the bound was checked")
+    monkeypatch.setattr("ealc.cli.extract_lstar", never)
+    monkeypatch.setattr("ealc.cli.extract_semantic", never)
+    f = write(tmp_path / "c11.eal", print_term(compile_dfa(CONTAINS_11)) + "\n")
+    for method in ("lstar", "semantic"):
+        assert main(["extract", f, "--method", method, "--verify", "-1"]) == 1
+        std = capsys.readouterr()
+        assert std.out == ""
+        assert std.err == "error: length bound must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cap_below_one_is_an_input_error(tmp_path, parity_term, capsys, cap):
+    # parity's string variable occurs once; the constant decider's not at all
+    const = write(tmp_path / "const.eal",
+                  print_term(BangLam("s", STR, Bang(bool_term(True)))) + "\n")
+    out = tmp_path / "out.json"
+    for f in (parity_term, const):
+        assert main(["extract", f, "--method", "semantic", "--forall-policy",
+                     "base", "--cap", cap, "-o", str(out)]) == 1
+        std = capsys.readouterr()
+        assert std.out == ""
+        assert std.err == "error: cell cap must be >= 1, got %s\n" % cap
+        assert not out.exists()
 
 
 def test_version(capsys):

@@ -7,6 +7,7 @@ from ealc import (
     SemanticsUnsupported, TyApp, TyVar, UNIT, Var, bool_term,
     church_string, EndoMonoid, eval_term, interp_type, normalize,
     parse_term, parse_type, phi_entry, phi_of_word, truncate_type,
+    type_alpha_eq,
 )
 from ealc.semantics import (
     FrameValue, POLICY_BASE, POLICY_ERROR, apply_value, fn_outputs,
@@ -117,6 +118,25 @@ def test_eval_rejects_exponentials():
         eval_term(Bang(bool_term(True)))
     with pytest.raises(SemanticsUnsupported):
         eval_term(bool_term(True), policy=POLICY_ERROR)
+
+
+def test_eval_free_variable_has_no_value():
+    with pytest.raises(SemanticsUnsupported, match="^free variable z has no value$"):
+        eval_term(Var("z"))
+
+
+def test_value_space_records_its_type():
+    # the evaluator reads types off values, so a type abstraction's value
+    # lives in the interpretation of its quantified type
+    v = eval_term(bool_term(True), base=3, policy=POLICY_BASE)
+    assert type_alpha_eq(v.space.ty, BOOL)
+    assert v == eval_term(bool_term(True).body, base=3, policy=POLICY_BASE)
+
+
+def test_cap_below_one_is_an_input_error():
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="^cell cap must be >= 1, got %d$" % cap):
+            interp_type(A, cap=cap)
 
 
 # -- endomorphism monoid -----------------------------------------------------------

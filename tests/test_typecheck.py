@@ -150,3 +150,75 @@ def test_typable_implies_stratified():
 
 def test_missing_annotation_rejected():
     assert err_kind(EAL, parse_term(r"\x. x")) == "class-violation"
+
+
+# -- error text ------------------------------------------------------------------
+
+ERROR_TEXT = [
+    (EAL, Context(), r"nope", "/: unbound-variable: unbound variable nope"),
+    (EAL, Context(), r"\!x:Bool. x",
+     "/0: zone-misuse: x is bang-bound; it can only be used inside a !(...) body"),
+    # the bang binder shadows the linear x
+    (EAL, Context(), r"\x:Bool. \!x:Bool. x",
+     "/0.0: zone-misuse: x is bang-bound; it can only be used inside a !(...) body"),
+    (EAL, Context(), r"\f:a -o a -o a. \x:a. f x x",
+     "/0.0: nonlinear-use: linear variable x used in both function and argument"),
+    (EAL, Context(), r"\h:a -o a -o a -o a. \k:a -o a -o a. \x:a. \y:a. h x y (k x y)",
+     "/0.0.0.0: nonlinear-use: linear variables x, y used in both function and argument"),
+    (EAL, Context(), r"\x. x", "/: class-violation: binder x needs a type annotation"),
+    (EAL, Context(), r"\!x. !x", "/: class-violation: binder x needs a type annotation"),
+    (EAL, Context(), r"\x:!Bool. x",
+     "/: class-violation: linear abstraction over non-linear type "
+     "!(forall a. a -o a -o a)"),
+    (EAL, Context(), r"/\a. !(\x:a. x)",
+     "/: class-violation: cannot quantify over body of type !(a -o a) "
+     "(not strictly linear)"),
+    (EAL, Context(), r"(/\a. \x:a. x) [!Bool]",
+     "/: forall-instantiation-not-linear: quantifiers can only be instantiated "
+     "at linear types, got !(forall a. a -o a -o a)"),
+    (EAL, Context(), r"\x:Bool. !x",
+     "/0: bang-body-escape: free variable x of a bang body is linear, not bang-bound"),
+    (EAL, Context(), r"\!y:Bool. !(!y)",
+     "/0.0: bang-body-escape: free variable y of a bang body is temporary, "
+     "not bang-bound"),
+    (EAL, Context(), r"!z",
+     "/: bang-body-escape: free variable z of a bang body is unbound, not bang-bound"),
+    (EAL, Context(), r"(\x:Bool. x) (/\a. \x:a. \y:a. \z:a. x)",
+     "/1: mismatch: argument has type forall a. a -o a -o a -o a, "
+     "expected forall a. a -o a -o a"),
+    (EAL, Context(), r"(/\a. \x:a. x) (/\a. \x:a. x)",
+     "/0: mismatch: applied term has type 1, not an arrow"),
+    (EAL, Context(), r"(\x:Bool. x) [Bool]",
+     "/0: mismatch: type application to a term of type "
+     "(forall a. a -o a -o a) -o (forall a. a -o a -o a)"),
+    # /\a is renamed away from the a of the context, so z:a' is not x:a
+    (EAL, Context(gamma={"x": TyVar("a")}), r"/\a. \y:a. (\z:a. z) x",
+     "/0.0.1: mismatch: argument has type a, expected a'1"),
+    (EAL, Context(), r"\x:StrS. x",
+     "/: mu-in-eal-mode: type mu b. forall a. (b -o a) -o (b -o a) -o a -o a "
+     "uses mu outside mueal mode"),
+    (EAL, Context(), r"fold[Bool] (\x:Bool. x)", "/: mu-in-eal-mode: fold outside mueal mode"),
+    (EAL, Context(), r"unfold (\x:Bool. x)", "/: mu-in-eal-mode: unfold outside mueal mode"),
+    (MUEAL, Context(), r"unfold (\x:Bool. x)",
+     "/0: mismatch: unfold of a term of type "
+     "(forall a. a -o a -o a) -o (forall a. a -o a -o a)"),
+    (MUEAL, Context(), r"fold[Bool] (\x:Bool. x)",
+     "/: mismatch: fold annotation forall a. a -o a -o a is not a mu type"),
+    (MUEAL, Context(), r"fold[mu b. b -o b] (\x:Bool. x)",
+     "/: mismatch: fold body has type (forall a. a -o a -o a) -o "
+     "(forall a. a -o a -o a), expected (mu b. b -o b) -o (mu b. b -o b)"),
+]
+
+
+@pytest.mark.parametrize("mode, ctx, src, text", ERROR_TEXT)
+def test_error_text(mode, ctx, src, text):
+    with pytest.raises(TypeCheckError) as e:
+        typecheck(mode, ctx, parse_term(src))
+    assert str(e.value) == text
+
+
+def test_error_text_covers_every_kind():
+    assert {text.split(": ")[1] for *_, text in ERROR_TEXT} == {
+        "unbound-variable", "zone-misuse", "nonlinear-use", "class-violation",
+        "forall-instantiation-not-linear", "bang-body-escape", "mismatch",
+        "mu-in-eal-mode"}
