@@ -24,8 +24,7 @@ beside Dfa in ealc.regcompile.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .syntax import (
     App, Arrow, Bang, BangLam, BangType, Fold, Lam, Term, TyApp, Unfold, Var,
@@ -38,8 +37,8 @@ from .regcompile import (
     ALPHABET, Dfa, all_words, explore, minimize, numbered_dfa,
 )
 from .semantics import (
-    CapExceeded, DEFAULT_CAP, EndoMonoid, POLICY_ERROR, interp_type,
-    phi_identity,
+    CapExceeded, DEFAULT_CAP, EndoMonoid, POLICY_ERROR, capped_power,
+    interp_type, phi_identity,
 )
 from .truncate import truncate_type
 
@@ -107,14 +106,14 @@ def membership_oracle(t: Term, fuel: int = DEFAULT_FUEL) -> Callable[[str], bool
 # ---------------------------------------------------------------------------
 # Decomposition (the syntactic analysis)
 
-@dataclass
 class Decomposition:
     """t !s and !^bang_peel (u s[sigma_1] ... s[sigma_n]) share a normal form."""
-    u: Term
-    n: int
-    sigmas: list
-    bang_peel: int
-    input_banged: bool
+    __slots__ = ("u", "n", "sigmas", "bang_peel", "input_banged")
+
+    def __init__(self, u: Term, n: int, sigmas: list, bang_peel: int,
+                 input_banged: bool):
+        self.u, self.n, self.sigmas = u, n, sigmas
+        self.bang_peel, self.input_banged = bang_peel, input_banged
 
     def apply_to(self, s: Term) -> Term:
         out = self.u
@@ -180,9 +179,9 @@ def decompose_bang_input(t: Term, fuel: int = DEFAULT_FUEL) -> Decomposition:
 # Semantic extraction (witness BFS over word-morphism states)
 
 def extract_semantic(t: Term, base: int = 2, policy: str = POLICY_ERROR,
-                     cap: int = DEFAULT_CAP, verify_len: Optional[int] = 10,
+                     cap: int = DEFAULT_CAP, verify_len: int | None = 10,
                      fuel: int = DEFAULT_FUEL,
-                     query: Optional[Callable[[str], bool]] = None) -> Dfa:
+                     query: Callable[[str], bool] | None = None) -> Dfa:
     """BFS the tuples of per-occurrence pair tables; acceptance of a state
     is the term's verdict on its shortest witness word.  Raises CapExceeded
     when any enumerated space outgrows `cap` and VerificationFailed when
@@ -198,9 +197,10 @@ def extract_semantic(t: Term, base: int = 2, policy: str = POLICY_ERROR,
     cells_per_state = 0
     for sigma in dec.sigmas:
         space = interp_type(truncate_type(sigma), base, policy, cap)
-        count = space.size ** space.size
-        # |A| decides both caps; EndoMonoid reports End(A) itself over cap
-        if count <= cap < count ** 2:
+        # |A| decides both caps, so no table is built when either fails
+        count = capped_power("End(%s)" % print_type(space.ty), space.size,
+                             space.size, cap)
+        if count ** 2 > cap:
             raise CapExceeded("pair table over End(%s)" % print_type(sigma),
                               count ** 2, cap)
         monoids.append(EndoMonoid(space, cap))
@@ -248,7 +248,7 @@ def check_length_bound(max_len: int):
 
 def extract_lstar(t: Term, max_len: int = 10, seed: int = 0,
                   fuel: int = DEFAULT_FUEL,
-                  query: Optional[Callable[[str], bool]] = None) -> Dfa:
+                  query: Callable[[str], bool] | None = None) -> Dfa:
     """Observation-table learning with the term as membership oracle.
 
     Counterexample handling adds every suffix of the counterexample to the
@@ -294,7 +294,7 @@ def extract_lstar(t: Term, max_len: int = 10, seed: int = 0,
                 accept.add(index[r])
         return Dfa(tuple(index.values()), index[row("")], frozenset(accept), delta)
 
-    def counterexample(h: Dfa) -> Optional[str]:
+    def counterexample(h: Dfa) -> str | None:
         for w in all_words(max_len):
             if h.run(w) != query(w):
                 return w
@@ -318,11 +318,14 @@ def extract_lstar(t: Term, max_len: int = 10, seed: int = 0,
 # ---------------------------------------------------------------------------
 # Verification
 
-@dataclass
 class VerifyReport:
-    checked: int
-    max_len: int
-    mismatches: list = field(default_factory=list)
+    """The words compared and the (word, term's verdict, automaton's
+    verdict) triples on which the two disagree."""
+    __slots__ = ("checked", "max_len", "mismatches")
+
+    def __init__(self, checked: int, max_len: int, mismatches: list | None = None):
+        self.checked, self.max_len = checked, max_len
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def ok(self) -> bool:
@@ -340,7 +343,7 @@ class VerifyReport:
 
 
 def verify_dfa(d: Dfa, t: Term, max_len: int, fuel: int = DEFAULT_FUEL,
-               query: Optional[Callable[[str], bool]] = None) -> VerifyReport:
+               query: Callable[[str], bool] | None = None) -> VerifyReport:
     """Compare the automaton with the term on every word up to max_len.
     `query` is t's membership oracle when the caller keeps one."""
     return _compare(d, query or membership_oracle(t, fuel), max_len)

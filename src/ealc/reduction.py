@@ -18,7 +18,7 @@ Schwichtenberg, LICS 1991) and takes words as native values.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 from .syntax import (
     App, Bang, BangLam, Fold, Lam, Path, Term, TyApp, TyLam, TyVar, Unfold,
@@ -39,7 +39,7 @@ class DecodeError(Exception):
     """A normal form does not have the shape the reader expects."""
 
 
-def _contract_child(p: Term, i: int, c: Term) -> Optional[Term]:
+def _contract_child(p: Term, i: int, c: Term) -> Term | None:
     """The four redex shapes: the contractum of p with child i replaced
     by c, or None when that is not a redex.  p itself is never rebuilt."""
     match p:
@@ -57,7 +57,7 @@ def _contract_child(p: Term, i: int, c: Term) -> Optional[Term]:
     return None
 
 
-def _contract(t: Term) -> Optional[Term]:
+def _contract(t: Term) -> Term | None:
     """The four redex shapes, at the root only."""
     match t:
         case App(f, _) | TyApp(f, _) | Unfold(f):
@@ -127,12 +127,12 @@ def trace(t: Term, fuel: int = DEFAULT_FUEL) -> Iterator[tuple]:
         yield term, tuple(i for _, i in frames)
 
 
-def step_with_path(t: Term) -> Optional[tuple]:
+def step_with_path(t: Term) -> tuple | None:
     """Contract the leftmost-outermost redex; return (term, path) or None."""
     return next(trace(t, 1), None)
 
 
-def step(t: Term) -> Optional[Term]:
+def step(t: Term) -> Term | None:
     """One leftmost-outermost step, or None if t is normal."""
     r = step_with_path(t)
     return None if r is None else r[0]
@@ -271,7 +271,7 @@ class Evaluator:
         self._left = self.fuel
         return self._eval(t, None)
 
-    def decide(self, f, w: str, banged: bool) -> Optional[bool]:
+    def decide(self, f, w: str, banged: bool) -> bool | None:
         """Apply the value f to the native word w, boxed when `banged`, and
         read the boolean: None when the result is not one, so that the
         caller can consult read_bool for the diagnosis."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .syntax import App, Arrow, Bang, BangLam, Lam, Term, TyApp, Var
 from .encode import (
@@ -29,35 +29,33 @@ class AutomatonError(Exception):
 # ---------------------------------------------------------------------------
 # DFAs
 
-@dataclass(frozen=True)
-class Dfa:
-    """Deterministic automaton over {0,1}; delta is total."""
-    states: tuple
-    start: str
-    accept: frozenset
-    delta: dict  # state -> {"0": state, "1": state}
+class Dfa(namedtuple("Dfa", "states start accept delta")):
+    """Deterministic automaton over {0,1}; delta is total.  states is a
+    tuple, accept a frozenset, delta maps state -> {"0": state, "1": state}."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        states = set(self.states)
-        if len(self.states) != len(states):
+    def __new__(cls, states: tuple, start: str, accept: frozenset, delta: dict):
+        names = set(states)
+        if len(states) != len(names):
             raise AutomatonError("duplicate state names")
-        if self.start not in states:
-            raise AutomatonError("start state %r unknown" % self.start)
-        if not self.accept <= states:
+        if start not in names:
+            raise AutomatonError("start state %r unknown" % start)
+        if not accept <= names:
             raise AutomatonError("accepting states %s unknown"
-                                 % sorted(self.accept - states))
-        for s in self.states:
-            row = self.delta.get(s)
+                                 % sorted(accept - names))
+        for s in states:
+            row = delta.get(s)
             if row is None or set(row) != set(ALPHABET):
                 raise AutomatonError("transition row for %r must cover 0 and 1" % s)
             for c in ALPHABET:
-                if row[c] not in states:
+                if row[c] not in names:
                     raise AutomatonError("delta(%r, %s) = %r unknown" % (s, c, row[c]))
+        return super().__new__(cls, states, start, accept, delta)
 
     def run(self, w: str) -> bool:
-        s = self.start
+        s, delta = self.start, self.delta
         for c in w:
-            s = self.delta[s][c]
+            s = delta[s][c]
         return s in self.accept
 
 
@@ -330,41 +328,41 @@ def regex_to_dfa(regex: str) -> Dfa:
 # ---------------------------------------------------------------------------
 # Transition monoids
 
-@dataclass(frozen=True)
-class MonoidPresentation:
+class MonoidPresentation(namedtuple("MonoidPresentation",
+                                    "size table gen0 gen1 accept")):
     """Finite monoid on {1..k} with generator images and accepting subset.
 
-    table is 1-indexed through `prod`; table[i-1][j-1] = i . j, and the
-    identity element is 1.
+    table is a tuple of tuples, 1-indexed through `prod`; table[i-1][j-1]
+    = i . j, and the identity element is 1.
     """
-    size: int
-    table: tuple  # of tuples, 0-indexed storage
-    gen0: int
-    gen1: int
-    accept: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        k = self.size
+    def __new__(cls, size: int, table: tuple, gen0: int, gen1: int,
+                accept: frozenset):
+        k = size
         if k < 1:
             raise AutomatonError("monoid must be nonempty")
-        if len(self.table) != k or any(len(r) != k for r in self.table):
+        if len(table) != k or any(len(r) != k for r in table):
             raise AutomatonError("multiplication table must be %dx%d" % (k, k))
-        vals = {v for row in self.table for v in row}
+        vals = {v for row in table for v in row}
         if not vals <= set(range(1, k + 1)):
             raise AutomatonError("table entries out of range 1..%d" % k)
-        for i in range(1, k + 1):
-            if self.prod(1, i) != i or self.prod(i, 1) != i:
+        # the checks below index the 0-based storage directly
+        for i in range(k):
+            if table[0][i] != i + 1 or table[i][0] != i + 1:
                 raise AutomatonError("1 is not a two-sided identity")
-        for a in range(1, k + 1):
-            for b in range(1, k + 1):
-                for c in range(1, k + 1):
-                    if self.prod(self.prod(a, b), c) != self.prod(a, self.prod(b, c)):
-                        raise AutomatonError(
-                            "associativity fails on (%d, %d, %d)" % (a, b, c))
-        if not {self.gen0, self.gen1} <= set(range(1, k + 1)):
+        for a in range(k):
+            for b in range(k):
+                ab = table[a][b] - 1
+                for c in range(k):
+                    if table[ab][c] != table[a][table[b][c] - 1]:
+                        raise AutomatonError("associativity fails on (%d, %d, %d)"
+                                             % (a + 1, b + 1, c + 1))
+        if not {gen0, gen1} <= set(range(1, k + 1)):
             raise AutomatonError("generator images out of range")
-        if not self.accept <= set(range(1, k + 1)):
+        if not accept <= set(range(1, k + 1)):
             raise AutomatonError("accepting subset out of range")
+        return super().__new__(cls, size, table, gen0, gen1, accept)
 
     def prod(self, i: int, j: int) -> int:
         return self.table[i - 1][j - 1]

@@ -18,8 +18,8 @@ an error, never a silent truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import math
+from collections import namedtuple
 
 from .syntax import (
     App, Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu, Term, Type,
@@ -39,21 +39,36 @@ class SemanticsUnsupported(Exception):
 
 
 class CapExceeded(Exception):
+    """`cells` is the count, or the text "b^e" for one too large to print."""
+
     def __init__(self, what, cells, cap):
-        super().__init__("%s needs %d cells, cap is %d" % (what, cells, cap))
+        super().__init__("%s needs %s cells, cap is %d" % (what, cells, cap))
         self.cells = cells
         self.cap = cap
 
 
-@dataclass(frozen=True, eq=False)
+def capped_power(what: str, base: int, digits: int, cap: int) -> int:
+    """base ** digits, the size of a space of digit tuples, or CapExceeded
+    when that passes cap.  A power past 14,000 bits (over 4,000 digits)
+    is named as base^digits and never computed."""
+    if digits * math.log2(base) > max(14_000, cap.bit_length() + 1):
+        raise CapExceeded(what, "%d^%d" % (base, digits), cap)
+    cells = base ** digits
+    if cells > cap:
+        raise CapExceeded(what, cells, cap)
+    return cells
+
+
 class FiniteSet:
     """Interpretation of a type; `ty` records which one, and is the type
     of every value in the set (the evaluator reads types off values).
 
     Equality is by shape (sizes, recursively through function spaces):
     two interpretations of alpha-equal types are interchangeable."""
-    size: int
-    ty: Type
+    __slots__ = ("size", "ty")
+
+    def __init__(self, size: int, ty: Type):
+        self.size, self.ty = size, ty
 
     def __eq__(self, other):
         if isinstance(other, FnSet) or isinstance(self, FnSet):
@@ -66,24 +81,24 @@ class FiniteSet:
         return hash(("set", self.size))
 
 
-@dataclass(frozen=True, eq=False)
 class FnSet(FiniteSet):
-    dom: FiniteSet
-    cod: FiniteSet
+    __slots__ = ("dom", "cod")
+
+    def __init__(self, size: int, ty: Type, dom: FiniteSet, cod: FiniteSet):
+        self.size, self.ty, self.dom, self.cod = size, ty, dom, cod
 
     def __hash__(self):
         return hash(("fn", self.size, self.dom, self.cod))
 
 
-@dataclass(frozen=True)
-class FrameValue:
-    space: FiniteSet
-    index: int
+class FrameValue(namedtuple("FrameValue", "space index")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.index < self.space.size:
+    def __new__(cls, space: FiniteSet, index: int):
+        if not 0 <= index < space.size:
             raise ValueError("index %d out of range for a %d-element set"
-                             % (self.index, self.space.size))
+                             % (index, space.size))
+        return super().__new__(cls, space, index)
 
 
 def interp_type(ty: Type, base: int = 2, policy: str = POLICY_ERROR,
@@ -102,9 +117,8 @@ def interp_type(ty: Type, base: int = 2, policy: str = POLICY_ERROR,
         case Arrow(src, dst):
             d = interp_type(src, base, policy, cap)
             c = interp_type(dst, base, policy, cap)
-            size = c.size ** d.size
-            if size > cap:
-                raise CapExceeded("function space %s" % print_type(ty), size, cap)
+            size = capped_power("function space %s" % print_type(ty),
+                                c.size, d.size, cap)
             return FnSet(size, ty, d, c)
         case Forall(_, body):
             if policy == POLICY_ERROR:
@@ -188,7 +202,7 @@ def _synth(t: Term, tyctx: dict) -> Type:
     raise TypeError(t)
 
 
-def eval_term(t: Term, env: Optional[dict] = None, base: int = 2,
+def eval_term(t: Term, env: dict | None = None, base: int = 2,
               policy: str = POLICY_ERROR, cap: int = DEFAULT_CAP) -> FrameValue:
     """Compositional evaluation; env maps free variables to FrameValues.
     A value's type is its space's `ty`, so types are read off values."""
@@ -265,9 +279,7 @@ class EndoMonoid:
 
     def __init__(self, space: FiniteSet, cap: int = DEFAULT_CAP):
         a = space.size
-        count = a ** a
-        if count > cap:
-            raise CapExceeded("End(%s)" % print_type(space.ty), count, cap)
+        count = capped_power("End(%s)" % print_type(space.ty), a, a, cap)
         self.space = space
         self.fns = FnSet(count, Arrow(space.ty, space.ty), space, space)
         self.count = count
@@ -284,15 +296,14 @@ class EndoMonoid:
         return self._index[tuple(fd[x] for x in gd)]
 
 
-@dataclass(frozen=True)
-class EndoPairTable:
-    """A map End(A)^2 -> End(A): entry (i, j) at position i*count+j.
+class EndoPairTable(namedtuple("EndoPairTable", "count entries")):
+    """A map End(A)^2 -> End(A): entry (i, j) at position i*count+j, where
+    count = |End(A)| and entries is a tuple.
 
     This is one value of the word morphism: the table of a word w sends a
     pair (g0, g1) of endomorphisms to g_{w1} . ... . g_{wn}.
     """
-    count: int  # |End(A)|
-    entries: tuple
+    __slots__ = ()
 
     def lookup(self, i: int, j: int) -> int:
         return self.entries[i * self.count + j]
@@ -306,12 +317,12 @@ class EndoPairTable:
 
     def then_letter(self, c: str, monoid: EndoMonoid) -> "EndoPairTable":
         """The table of wc from the table of w."""
-        e = self.count
+        e, entries = self.count, self.entries
         out = []
         for i in range(e):
             for j in range(e):
                 g = i if c == "0" else j
-                out.append(monoid.compose(self.entries[i * e + j], g))
+                out.append(monoid.compose(entries[i * e + j], g))
         return EndoPairTable(e, tuple(out))
 
 

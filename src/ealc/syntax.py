@@ -14,12 +14,20 @@ Term walks share two explicit-stack traversals, preorder and fold_term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from collections import namedtuple
 
 
 class TypeStructureError(Exception):
     """A type violates the grammar classes (e.g. a forall over a banged body)."""
+
+
+# Nodes are plain slotted classes.  Each __init__ stores the fields named
+# in __match_args__ and the node's free variables; nodes compare and hash
+# by identity and are never changed after construction.
+
+def _node_repr(node) -> str:
+    return "%s(%s)" % (type(node).__name__, ", ".join(
+        "%s=%r" % (f, getattr(node, f)) for f in node.__match_args__))
 
 
 # ---------------------------------------------------------------------------
@@ -29,62 +37,58 @@ class TypeStructureError(Exception):
 # (| mu in the fixpoint extension)                 any    ::= linear | !any
 # Forall and Mu bodies must be strictly linear; the constructors enforce it.
 
-@dataclass(frozen=True, eq=False)
 class Type:
-    # Free type variables, computed by each node's __post_init__.
-    ftv: frozenset = field(init=False, repr=False, compare=False)
+    __slots__ = ("ftv",)  # the free type variables
+    __repr__ = _node_repr
 
     def __str__(self) -> str:
         return print_type(self)
 
 
-@dataclass(frozen=True, eq=False)
 class TyVar(Type):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "ftv", frozenset((self.name,)))
+    def __init__(self, name: str):
+        self.name = name
+        self.ftv = frozenset((name,))
 
 
-@dataclass(frozen=True, eq=False)
 class Arrow(Type):
-    src: Type
-    dst: Type
+    __slots__ = __match_args__ = ("src", "dst")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ftv", self.src.ftv | self.dst.ftv)
+    def __init__(self, src: Type, dst: Type):
+        self.src, self.dst = src, dst
+        self.ftv = src.ftv | dst.ftv
 
 
-@dataclass(frozen=True, eq=False)
 class BangType(Type):
-    body: Type
+    __slots__ = __match_args__ = ("body",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "ftv", self.body.ftv)
+    def __init__(self, body: Type):
+        self.body = body
+        self.ftv = body.ftv
 
 
-@dataclass(frozen=True, eq=False)
 class Forall(Type):
-    var: str
-    body: Type
+    __slots__ = __match_args__ = ("var", "body")
 
-    def __post_init__(self):
-        if not is_strictly_linear(self.body):
+    def __init__(self, var: str, body: Type):
+        if not is_strictly_linear(body):
             raise TypeStructureError(
-                "forall body must be strictly linear, got %s" % print_type(self.body))
-        object.__setattr__(self, "ftv", self.body.ftv - {self.var})
+                "forall body must be strictly linear, got %s" % print_type(body))
+        self.var, self.body = var, body
+        self.ftv = body.ftv - {var}
 
 
-@dataclass(frozen=True, eq=False)
 class Mu(Type):
-    var: str
-    body: Type
+    __slots__ = __match_args__ = ("var", "body")
 
-    def __post_init__(self):
-        if not is_strictly_linear(self.body):
+    def __init__(self, var: str, body: Type):
+        if not is_strictly_linear(body):
             raise TypeStructureError(
-                "mu body must be strictly linear, got %s" % print_type(self.body))
-        object.__setattr__(self, "ftv", self.body.ftv - {self.var})
+                "mu body must be strictly linear, got %s" % print_type(body))
+        self.var, self.body = var, body
+        self.ftv = body.ftv - {var}
 
 
 def is_strictly_linear(t: Type) -> bool:
@@ -127,110 +131,96 @@ def is_unit(t: Type) -> bool:
 # ---------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True, eq=False)
 class Term:
-    # Free term and type variables, computed by each node's __post_init__.
-    fvs: frozenset = field(init=False, repr=False, compare=False)
-    ftv: frozenset = field(init=False, repr=False, compare=False)
+    __slots__ = ("fvs", "ftv")  # the free term and type variables
+    __repr__ = _node_repr
 
     def __str__(self) -> str:
         return print_term(self)
 
 
-@dataclass(frozen=True, eq=False)
 class Var(Term):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "fvs", frozenset((self.name,)))
-        object.__setattr__(self, "ftv", frozenset())
+    def __init__(self, name: str):
+        self.name = name
+        self.fvs = frozenset((name,))
+        self.ftv = frozenset()
 
 
-@dataclass(frozen=True, eq=False)
 class Lam(Term):
     """Linear abstraction \\x:A. t (the argument is used at most once)."""
-    var: str
-    ty: Optional[Type]
-    body: Term
+    __slots__ = __match_args__ = ("var", "ty", "body")
 
-    def __post_init__(self):
-        object.__setattr__(self, "fvs", self.body.fvs - {self.var})
-        tv = self.body.ftv if self.ty is None else self.body.ftv | self.ty.ftv
-        object.__setattr__(self, "ftv", tv)
+    def __init__(self, var: str, ty: Type | None, body: Term):
+        self.var, self.ty, self.body = var, ty, body
+        self.fvs = body.fvs - {var}
+        self.ftv = body.ftv if ty is None else body.ftv | ty.ftv
 
 
-@dataclass(frozen=True, eq=False)
 class BangLam(Term):
     """Non-linear abstraction \\!x:S. t; the argument has type !S."""
-    var: str
-    ty: Optional[Type]  # the core S, not !S
-    body: Term
+    __slots__ = __match_args__ = ("var", "ty", "body")  # ty: the core S, not !S
 
-    def __post_init__(self):
-        object.__setattr__(self, "fvs", self.body.fvs - {self.var})
-        tv = self.body.ftv if self.ty is None else self.body.ftv | self.ty.ftv
-        object.__setattr__(self, "ftv", tv)
+    def __init__(self, var: str, ty: Type | None, body: Term):
+        self.var, self.ty, self.body = var, ty, body
+        self.fvs = body.fvs - {var}
+        self.ftv = body.ftv if ty is None else body.ftv | ty.ftv
 
 
-@dataclass(frozen=True, eq=False)
 class App(Term):
-    fn: Term
-    arg: Term
+    __slots__ = __match_args__ = ("fn", "arg")
 
-    def __post_init__(self):
-        object.__setattr__(self, "fvs", self.fn.fvs | self.arg.fvs)
-        object.__setattr__(self, "ftv", self.fn.ftv | self.arg.ftv)
+    def __init__(self, fn: Term, arg: Term):
+        self.fn, self.arg = fn, arg
+        self.fvs = fn.fvs | arg.fvs
+        self.ftv = fn.ftv | arg.ftv
 
 
-@dataclass(frozen=True, eq=False)
 class Bang(Term):
-    body: Term
+    __slots__ = __match_args__ = ("body",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "fvs", self.body.fvs)
-        object.__setattr__(self, "ftv", self.body.ftv)
+    def __init__(self, body: Term):
+        self.body = body
+        self.fvs, self.ftv = body.fvs, body.ftv
 
 
-@dataclass(frozen=True, eq=False)
 class TyLam(Term):
     """Type abstraction /\\a. t."""
-    var: str
-    body: Term
+    __slots__ = __match_args__ = ("var", "body")
 
-    def __post_init__(self):
-        object.__setattr__(self, "fvs", self.body.fvs)
-        object.__setattr__(self, "ftv", self.body.ftv - {self.var})
+    def __init__(self, var: str, body: Term):
+        self.var, self.body = var, body
+        self.fvs = body.fvs
+        self.ftv = body.ftv - {var}
 
 
-@dataclass(frozen=True, eq=False)
 class TyApp(Term):
     """Type application t [A]."""
-    fn: Term
-    ty: Type
+    __slots__ = __match_args__ = ("fn", "ty")
 
-    def __post_init__(self):
-        object.__setattr__(self, "fvs", self.fn.fvs)
-        object.__setattr__(self, "ftv", self.fn.ftv | self.ty.ftv)
+    def __init__(self, fn: Term, ty: Type):
+        self.fn, self.ty = fn, ty
+        self.fvs = fn.fvs
+        self.ftv = fn.ftv | ty.ftv
 
 
-@dataclass(frozen=True, eq=False)
 class Fold(Term):
     """fold[mu a. S] t, introducing the fixpoint type."""
-    ty: Type
-    body: Term
+    __slots__ = __match_args__ = ("ty", "body")
 
-    def __post_init__(self):
-        object.__setattr__(self, "fvs", self.body.fvs)
-        object.__setattr__(self, "ftv", self.body.ftv | self.ty.ftv)
+    def __init__(self, ty: Type, body: Term):
+        self.ty, self.body = ty, body
+        self.fvs = body.fvs
+        self.ftv = body.ftv | ty.ftv
 
 
-@dataclass(frozen=True, eq=False)
 class Unfold(Term):
-    body: Term
+    __slots__ = __match_args__ = ("body",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "fvs", self.body.fvs)
-        object.__setattr__(self, "ftv", self.body.ftv)
+    def __init__(self, body: Term):
+        self.body = body
+        self.fvs, self.ftv = body.fvs, body.ftv
 
 
 # Occurrence paths: tuples of child indices from the root.  Every node has
@@ -364,7 +354,7 @@ def subst_type(t: Type, a: str, repl: Type) -> Type:
     raise TypeError(t)
 
 
-def _subst_opt(ty: Optional[Type], a: str, repl: Type) -> Optional[Type]:
+def _subst_opt(ty: Type | None, a: str, repl: Type) -> Type | None:
     return None if ty is None else subst_type(ty, a, repl)
 
 
@@ -514,12 +504,9 @@ def occurrences(t: Term, x: str):
             yield path, depth
 
 
-@dataclass
-class StratificationViolation:
-    binder_path: Path
-    binder: str
-    occurrence_path: Path
-    reason: str
+class StratificationViolation(namedtuple(
+        "StratificationViolation", "binder_path binder occurrence_path reason")):
+    __slots__ = ()
 
     def __str__(self):
         return "%s bound at %r: %s (occurrence at %r)" % (
@@ -624,7 +611,7 @@ def print_term(t: Term) -> str:
     return fold_term(t, lambda s: (s, None), _print_node)[0]
 
 
-def _ann(ty: Optional[Type]) -> str:
+def _ann(ty: Type | None) -> str:
     return "" if ty is None else ":" + _pty(ty, 2)
 
 

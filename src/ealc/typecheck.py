@@ -18,9 +18,6 @@ unique, and an expected type is only compared (up to alpha) at the root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 from .syntax import (
     App, Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu, Path, Term,
     Type, TyApp, TyLam, TyVar, Unfold, Var, contains_mu, fresh_name,
@@ -57,12 +54,15 @@ def _fmt_path(path: Path) -> str:
     return "/" + ".".join(str(i) for i in path) if path else "/"
 
 
-@dataclass
 class Context:
     """The three zones; domains must be pairwise disjoint."""
-    gamma: dict = field(default_factory=dict)
-    delta: dict = field(default_factory=dict)
-    theta: dict = field(default_factory=dict)
+    __slots__ = ("gamma", "delta", "theta")
+
+    def __init__(self, gamma: dict | None = None, delta: dict | None = None,
+                 theta: dict | None = None):
+        self.gamma = {} if gamma is None else gamma
+        self.delta = {} if delta is None else delta
+        self.theta = {} if theta is None else theta
 
     def validate(self):
         zones = [set(self.gamma), set(self.delta), set(self.theta)]
@@ -99,7 +99,7 @@ def typecheck(mode: str, ctx: Context, t: Term) -> Type:
     return _infer(mode, env, t, ())
 
 
-def typecheck_closed(mode: str, t: Term, expected: Optional[Type] = None) -> Type:
+def typecheck_closed(mode: str, t: Term, expected: Type | None = None) -> Type:
     ty = typecheck(mode, Context(), t)
     if expected is not None and not type_alpha_eq(ty, expected):
         raise TypeCheckError(MISMATCH, (), "term has type %s, expected %s"

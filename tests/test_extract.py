@@ -315,6 +315,13 @@ def test_verify_pass_and_fail():
     assert any(w == "0" for w, _, _ in bad.mismatches)
 
 
+def test_verify_reports_start_with_fresh_mismatch_lists():
+    t = compile_dfa(PARITY)
+    bad, ok = verify_dfa(CONTAINS_11, t, 2), verify_dfa(PARITY, t, 2)
+    assert bad.mismatches and ok.mismatches == [] and ok.ok
+    assert str(ok) == "ok: automaton and term agree on all 7 words of length <= 2"
+
+
 def test_verify_length_zero():
     t = compile_dfa(PARITY)
     rep = verify_dfa(PARITY, t, 0)

@@ -80,3 +80,55 @@ def test_readme_library_snippet_runs():
         # pad with the lines above, so a traceback names README's own line
         above = readme.count("\n", 0, block.start(1))
         exec(compile("\n" * above + block.group(1), "README.md", "exec"), {})
+
+
+def test_no_dataclasses_or_typing_imports():
+    # Records are slotted classes or namedtuples and annotations stay
+    # strings, so neither module is needed; importing them would add to
+    # the start-up of every `eal` process.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += ["%s:%s" % (path.name, name) for name in names
+                      if name.split(".")[0] in ("dataclasses", "typing")]
+    assert found == []
+
+
+def _class_constant(cls, name):
+    """The literal value assigned to `name` in the class body, else None."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == name
+                for target in stmt.targets):
+            return ast.literal_eval(stmt.value)
+    return None
+
+
+def test_nodes_are_slotted_and_match_their_constructor():
+    # Every term and type node declares __slots__, and a concrete node's
+    # __match_args__ lists its __init__ parameters in order, so positional
+    # patterns read the fields a positional call sets.
+    tree = ast.parse((SRC / "syntax.py").read_text(encoding="utf-8"))
+    bases = {"Type", "Term"}
+    nodes = [node for node in tree.body if isinstance(node, ast.ClassDef)
+             and (node.name in bases or any(isinstance(b, ast.Name) and b.id in bases
+                                            for b in node.bases))]
+    assert len(nodes) == 16
+    bad = []
+    for cls in nodes:
+        if _class_constant(cls, "__slots__") is None:
+            bad.append("%s: no __slots__" % cls.name)
+        if cls.name in bases:
+            continue
+        inits = [f for f in cls.body
+                 if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+        params = tuple(a.arg for a in inits[0].args.args[1:]) if inits else None
+        if params is None or _class_constant(cls, "__match_args__") != params:
+            bad.append("%s: __match_args__ is not %r" % (cls.name, params))
+    assert bad == []

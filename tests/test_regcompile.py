@@ -9,7 +9,7 @@ from ealc import (
     typecheck_closed,
 )
 from ealc.regcompile import (
-    AutomatonError, dfa_equiv, minimize, monoid_from_dict,
+    AutomatonError, Dfa, dfa_equiv, minimize, monoid_from_dict,
 )
 
 from corpus import ALL_STRINGS, CONTAINS_11, DIV3, PARITY, REFERENCE_DFAS
@@ -62,6 +62,20 @@ def test_dfa_validation():
         dfa(["a"], "a", [], {"a": {"0": "a"}})
     with pytest.raises(AutomatonError):
         dfa(["a"], "a", ["c"], {"a": {"0": "a", "1": "a"}})
+
+
+def test_dfa_is_an_immutable_value():
+    rows = {"even": {"0": "even", "1": "odd"}, "odd": {"0": "odd", "1": "even"}}
+    again = dfa(["even", "odd"], "even", ["even"], rows)
+    assert again == PARITY and again is not PARITY
+    assert again != dfa(["even", "odd"], "even", ["odd"], rows)
+    with pytest.raises(AttributeError):
+        again.start = "odd"
+    # the checks run on direct construction too, not only through dfa()
+    with pytest.raises(AutomatonError, match="duplicate state names"):
+        Dfa(("a", "a"), "a", frozenset(), {"a": {"0": "a", "1": "a"}})
+    with pytest.raises(AutomatonError, match=r"delta\('a', 1\) = 'b' unknown"):
+        Dfa(("a",), "a", frozenset(), {"a": {"0": "a", "1": "b"}})
 
 
 def test_dfa_json_round_trip():
@@ -140,6 +154,18 @@ def test_numbering_follows_shortlex_witnesses():
         md = minimize(d)
         assert md.states == tuple("q%d" % i for i in range(len(md.states)))
         assert first_reached(lambda w: state_after(md, w)) == list(md.states)
+
+
+def test_monoid_is_an_immutable_value():
+    z2 = MonoidPresentation(2, ((1, 2), (2, 1)), 1, 2, frozenset({1}))
+    assert z2 == transition_monoid(PARITY)
+    assert z2 != MonoidPresentation(2, ((1, 2), (2, 1)), 2, 2, frozenset({1}))
+    with pytest.raises(AttributeError):
+        z2.gen0 = 2
+    with pytest.raises(AutomatonError, match="1 is not a two-sided identity"):
+        MonoidPresentation(2, ((1, 2), (1, 1)), 1, 2, frozenset({1}))
+    with pytest.raises(AutomatonError, match="generator images out of range"):
+        MonoidPresentation(2, ((1, 2), (2, 1)), 3, 2, frozenset({1}))
 
 
 def test_monoid_validation():

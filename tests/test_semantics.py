@@ -57,6 +57,18 @@ def test_interp_cap():
         interp_type(Arrow(AA, Arrow(AA, AA)), base=4, cap=10 ** 6)
 
 
+def test_interp_cap_on_a_count_too_large_to_print():
+    # 2^65536 cells is far past the cap; the count is neither built nor
+    # printed in full (str() refuses ints over 4,300 digits).
+    with pytest.raises(CapExceeded, match=r"needs 2\^65536 cells, cap is 1000000$"):
+        interp_type(parse_type("(a -o a -o a -o a -o a) -o a"))
+    with pytest.raises(CapExceeded, match=r"^End\(a\) needs 2000\^2000 cells"):
+        EndoMonoid(interp_type(A, base=2000))
+    # a count that prints is printed in full, as before
+    with pytest.raises(CapExceeded, match=r"needs %d cells" % 2 ** 256):
+        interp_type(parse_type("(a -o a -o a -o a) -o a"))
+
+
 def test_truncated_string_type_is_tiny():
     ty = truncate_type(parse_type("Str[a]"))
     assert interp_type(ty, base=2).size == 1  # (1 -o 1) -o (1 -o 1) -o (1 -o 1)
@@ -74,6 +86,24 @@ def test_eval_true_false_distinct_any_base():
         vt = eval_term(bool_term(True), base=base, policy=POLICY_BASE)
         vf = eval_term(bool_term(False), base=base, policy=POLICY_BASE)
         assert vt.index != vf.index
+
+
+def test_frame_values_and_pair_tables_are_immutable_values():
+    a3 = interp_type(A, base=3)
+    v = FrameValue(a3, 2)
+    # spaces compare by shape, so values of alpha-equal types are equal
+    assert v == FrameValue(interp_type(TyVar("b"), base=3), 2)
+    assert v != FrameValue(a3, 1)
+    assert {v: 1}[FrameValue(a3, 2)] == 1
+    with pytest.raises(AttributeError):
+        v.index = 1
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="out of range for a 3-element set"):
+            FrameValue(a3, bad)
+    table = phi_of_word(A, "01")
+    assert table == phi_of_word(A, "01") and table != phi_of_word(A, "10")
+    with pytest.raises(AttributeError):
+        table.count = 1
 
 
 def test_eval_compositionality():

@@ -1,14 +1,17 @@
 import pytest
 
 from ealc import (
-    App, Arrow, Bang, BangLam, BangType, Forall, Lam,
-    TyVar, TypeStructureError, UNIT, Var, alpha_eq, bool_term,
+    App, Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu, Term,
+    TyApp, TyLam, TyVar, Type, TypeStructureError, UNIT, Unfold, Var,
+    alpha_eq, bool_term,
     check_stratification, church_string, decode_church_string, depth_map,
     erase_annotations, is_unit, parse_term, parse_type, print_term,
     print_type, ParseError,
     split_occurrences, subst_term, subst_type, truncate_term, type_alpha_eq,
 )
-from ealc.syntax import all_names, occurrences
+from ealc.syntax import (
+    StratificationViolation, all_names, children, occurrences, preorder,
+)
 
 from corpus import EAL_CLOSED, MUEAL_CLOSED
 
@@ -271,3 +274,119 @@ def test_walks_on_a_long_church_string():
     assert len(dm) == 2 * 1200 + 6 and dm[(0,) * 5 + (1,) * 1200] == 1
     t2, names = split_occurrences(short.body.body.body.body, "f1")
     assert len(names) == w[:1200].count("1") and "f1" not in t2.fvs
+
+
+# -- node classes -------------------------------------------------------------
+
+_A = TyVar("a")
+_X = Var("x")
+ONE_OF_EACH = [
+    TyVar("a"), Arrow(_A, _A), BangType(_A), Forall("a", Arrow(_A, _A)),
+    Mu("a", Arrow(_A, _A)), Var("x"), Lam("x", _A, _X), BangLam("x", None, _X),
+    App(_X, _X), Bang(_X), TyLam("a", _X), TyApp(_X, _A), Fold(_A, _X),
+    Unfold(_X),
+]
+
+
+def test_one_of_each_node_class():
+    concrete = {cls for base in (Term, Type) for cls in base.__subclasses__()}
+    assert {type(node) for node in ONE_OF_EACH} == concrete
+    assert len(concrete) == 14
+
+
+def test_nodes_compare_and_hash_by_identity():
+    x, y = Var("x"), Var("x")
+    assert x != y and x == x
+    assert TyVar("a") != TyVar("a")
+    seen = {x: 1, y: 2, App(x, y): 3}
+    assert len(seen) == 3 and seen[x] == 1 and seen[y] == 2
+
+
+def test_every_node_class_matches_positionally():
+    for node in ONE_OF_EACH:
+        fields = tuple(getattr(node, name) for name in type(node).__match_args__)
+        match node:
+            case TyVar(p) | BangType(p) | Var(p) | Bang(p) | Unfold(p):
+                got = (p,)
+            case (Arrow(p, q) | Forall(p, q) | Mu(p, q) | App(p, q)
+                  | TyLam(p, q) | TyApp(p, q) | Fold(p, q)):
+                got = (p, q)
+            case Lam(p, q, r) | BangLam(p, q, r):
+                got = (p, q, r)
+        assert got == fields, node
+        again = type(node)(*fields)
+        assert again.ftv == node.ftv
+        assert getattr(again, "fvs", None) == getattr(node, "fvs", None)
+
+
+def test_node_repr_names_every_field():
+    assert repr(App(Var("f"), Lam("x", None, Var("x")))) == (
+        "App(fn=Var(name='f'), arg=Lam(var='x', ty=None, body=Var(name='x')))")
+    assert repr(Forall("a", Arrow(_A, _A))) == (
+        "Forall(var='a', body=Arrow(src=TyVar(name='a'), dst=TyVar(name='a')))")
+
+
+def _type_free(ty, bound=frozenset()):
+    match ty:
+        case TyVar(a):
+            return set() if a in bound else {a}
+        case Arrow(src, dst):
+            return _type_free(src, bound) | _type_free(dst, bound)
+        case BangType(body):
+            return _type_free(body, bound)
+        case Forall(a, body) | Mu(a, body):
+            return _type_free(body, bound | {a})
+
+
+def _free_by_preorder(t):
+    """{path: (free term names, free type names)} for every subterm of t,
+    from each occurrence and the binders on the path above it."""
+    free = {}
+    for path, _, s in preorder(t):
+        free[path] = (set(), set())
+        spine = [t]  # spine[k] is the subterm at path[:k]
+        for i in path:
+            spine.append(children(spine[-1])[i])
+        name = s.name if isinstance(s, Var) else None
+        ty = getattr(s, "ty", None)
+        tnames = set() if ty is None else _type_free(ty)
+        for k in range(len(path), -1, -1):
+            node = spine[k]
+            if k < len(path):  # s lies in node's body
+                if isinstance(node, (Lam, BangLam)) and node.var == name:
+                    name = None
+                if isinstance(node, TyLam):
+                    tnames.discard(node.var)
+            if name is not None:
+                free[path[:k]][0].add(name)
+            free[path[:k]][1].update(tnames)
+    return free
+
+
+def test_free_variables_match_a_reference_on_the_corpus():
+    for name, term, ty in EAL_CLOSED + MUEAL_CLOSED:
+        assert ty.ftv == _type_free(ty), name
+        free = _free_by_preorder(term)
+        for path, _, s in preorder(term):
+            assert (s.fvs, s.ftv) == free[path], (name, path)
+    # open terms, with free names of both kinds
+    t = parse_term(r"\x:a. f (y [b -o c]) (/\b. \z:b. x)")
+    assert (t.fvs, t.ftv) == ({"f", "y"}, {"a", "b", "c"})
+    assert (t.fvs, t.ftv) == _free_by_preorder(t)[()]
+
+
+def test_quantifier_bodies_stay_strictly_linear():
+    for make in (Forall, Mu):
+        with pytest.raises(TypeStructureError):
+            make("a", BangType(Arrow(_A, _A)))
+        with pytest.raises(TypeStructureError):
+            make("a", _A)
+    assert Forall("a", Arrow(BangType(_A), _A)).ftv == frozenset()
+
+
+def test_stratification_violations_are_values():
+    bad = check_stratification(parse_term(r"\x:a. \f:a -o a -o a. f x x"))
+    assert bad == [StratificationViolation(
+        (), "x", (0, 0, 1), "second occurrence of a linear variable")]
+    with pytest.raises(AttributeError):
+        bad[0].reason = "none"

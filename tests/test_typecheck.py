@@ -117,6 +117,14 @@ def test_context_invariants_enforced():
         typecheck(EAL, Context(delta={"x": BOOL}), Var("x"))
 
 
+def test_context_zones_default_to_fresh_dicts():
+    one, two = Context(), Context()
+    one.gamma["x"] = BOOL
+    assert two.gamma == {} and two.delta == {} and two.theta == {}
+    ctx = Context(delta={"b": BangType(BOOL)})
+    assert type_alpha_eq(typecheck(EAL, ctx, Bang(Var("b"))), BangType(BOOL))
+
+
 def test_weakening():
     junk = {
         "gamma": Context(gamma={"unused": BOOL}),
