@@ -261,7 +261,12 @@ def main(argv=None) -> int:
     except (UnsupportedShape, SemanticsUnsupported, TruncationError) as e:
         print("unsupported: %s" % e, file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (FuelExhausted, CapExceeded, RecursionError, MemoryError) as e:
+    except RecursionError:
+        # CPython's own text depends on where the overflow happened, not on
+        # the input, so the message is fixed
+        print("resource limit: maximum recursion depth exceeded", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (FuelExhausted, CapExceeded, MemoryError) as e:
         print("resource limit: %s" % (str(e) or "out of memory"), file=sys.stderr)
         return EXIT_RESOURCE
     except VerificationFailed as e:

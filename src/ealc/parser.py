@@ -25,6 +25,7 @@ Nat, StrS, 1 and Mk (M2, M3, ...).
 from __future__ import annotations
 
 import re
+from array import array
 
 from .encode import BOOL, NAT, STR, STRS, monoid_ty, str_of
 from .syntax import (
@@ -52,25 +53,33 @@ _KEYWORDS = {"let", "in", "case", "of", "fold", "unfold", "forall", "mu"}
 
 
 def _tokenize(text):
-    toks = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+    """The tokens of text as three columns: kinds, lexemes and start
+    offsets, ending with an "eof" token at the end of the text."""
+    kinds, lexemes, starts = [], [], array("q")
+    shared = {}  # one string object per distinct lexeme
+    match = _TOKEN_RE.match
+    pos, end = 0, len(text)
+    while pos < end:
+        m = match(text, pos)
         if not m:
-            raise ParseError("unexpected character %r" % text[pos], line, col)
-        lexeme = m.group(0)
-        if m.lastgroup != "ws":
-            kind = "kw" if lexeme in _KEYWORDS else m.lastgroup
-            toks.append((kind, lexeme, line, col))
-        nl = lexeme.count("\n")
-        if nl:
-            line += nl
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
+            raise ParseError("unexpected character %r" % text[pos], *_line_col(text, pos))
+        kind = m.lastgroup
+        if kind != "ws":
+            lexeme = m.group()
+            lexeme = shared.setdefault(lexeme, lexeme)
+            kinds.append("kw" if lexeme in _KEYWORDS else kind)
+            lexemes.append(lexeme)
+            starts.append(pos)
         pos = m.end()
-    toks.append(("eof", "", line, col))
-    return toks
+    kinds.append("eof")
+    lexemes.append("")
+    starts.append(pos)
+    return kinds, lexemes, starts
+
+
+def _line_col(text, pos):
+    """The 1-based line and column of offset pos in text."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 # Named type abbreviations, as ealc.encode builds them.  Str[T] and Mk take
@@ -82,49 +91,49 @@ _MONOID_RE = re.compile(r"^M([1-9][0-9]*)$")
 
 class _Parser:
     def __init__(self, text):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.kinds, self.lexemes, self.starts = _tokenize(text)
         self.i = 0
         self.fresh = 0
 
     def peek(self):
-        return self.toks[self.i]
+        """The current token's lexeme."""
+        return self.lexemes[self.i]
 
     def next(self):
-        t = self.toks[self.i]
+        """Consume the current token and return its lexeme."""
         self.i += 1
-        return t
+        return self.lexemes[self.i - 1]
 
     def err(self, msg):
-        _, lex, line, col = self.peek()
-        raise ParseError("%s (at %r)" % (msg, lex or "end of input"), line, col)
+        line, col = _line_col(self.text, self.starts[self.i])
+        raise ParseError("%s (at %r)" % (msg, self.peek() or "end of input"), line, col)
 
     def expect(self, lexeme):
-        kind, lex, _, _ = self.peek()
-        if lex != lexeme:
+        if self.lexemes[self.i] != lexeme:
             self.err("expected %r" % lexeme)
-        return self.next()
+        self.i += 1
 
     def at(self, lexeme):
-        return self.peek()[1] == lexeme
+        return self.lexemes[self.i] == lexeme
 
     def at_kind(self, kind):
-        return self.peek()[0] == kind
+        return self.kinds[self.i] == kind
 
     def fresh_tyvar(self) -> Type:
         self.fresh += 1
         return TyVar("_T%d" % self.fresh)
 
     def ident(self):
-        kind, lex, _, _ = self.peek()
-        if kind != "name":
+        if self.kinds[self.i] != "name":
             self.err("expected an identifier")
-        return self.next()[1]
+        return self.next()
 
     # -- types -------------------------------------------------------------
 
     def type_(self) -> Type:
         if self.at("forall") or self.at("mu"):
-            kw = self.next()[1]
+            kw = self.next()
             var = self.ident()
             self.expect(".")
             body = self.type_()
@@ -139,7 +148,7 @@ class _Parser:
         return left
 
     def type_atom(self) -> Type:
-        kind, lex, _, _ = self.peek()
+        kind, lex = self.kinds[self.i], self.lexemes[self.i]
         if lex == "!":
             self.next()
             return BangType(self.type_atom())
@@ -186,7 +195,7 @@ class _Parser:
     # -- terms -------------------------------------------------------------
 
     def term(self) -> Term:
-        lex = self.peek()[1]
+        lex = self.peek()
         if lex == "\\":
             self.next()
             x = self.ident()
@@ -265,7 +274,7 @@ class _Parser:
     def app(self) -> Term:
         t = self.prefix()
         while True:
-            kind, lex, _, _ = self.peek()
+            kind, lex = self.kinds[self.i], self.lexemes[self.i]
             if lex == "[":
                 self.next()
                 ty = self.type_()
@@ -278,7 +287,7 @@ class _Parser:
                 return t
 
     def prefix(self) -> Term:
-        lex = self.peek()[1]
+        lex = self.peek()
         if lex == "!":
             self.next()
             return Bang(self.prefix())
@@ -294,7 +303,7 @@ class _Parser:
         return self.atom()
 
     def atom(self) -> Term:
-        kind, lex, _, _ = self.peek()
+        kind, lex = self.kinds[self.i], self.lexemes[self.i]
         if lex == "(":
             self.next()
             t = self.term()

@@ -42,18 +42,19 @@ class DecodeError(Exception):
 def _contract_child(p: Term, i: int, c: Term) -> Term | None:
     """The four redex shapes: the contractum of p with child i replaced
     by c, or None when that is not a redex.  p itself is never rebuilt."""
-    match p:
-        case App(f, a):
-            f, a = (c, a) if i == 0 else (f, c)
-            match f:
-                case Lam(x, _, body):
-                    return subst_term(body, x, a)
-                case BangLam(x, _, body) if isinstance(a, Bang):
-                    return subst_term(body, x, a.body)
-        case TyApp(_, ty) if isinstance(c, TyLam):
-            return subst_type_in_term(c.body, c.var, ty)
-        case Unfold() if isinstance(c, Fold):
-            return c.body
+    cls = type(p)
+    if cls is App:
+        f, a = (c, p.arg) if i == 0 else (p.fn, c)
+        fcls = type(f)
+        if fcls is Lam:
+            return subst_term(f.body, f.var, a)
+        if fcls is BangLam and type(a) is Bang:
+            return subst_term(f.body, f.var, a.body)
+    elif cls is TyApp:
+        if type(c) is TyLam:
+            return subst_type_in_term(c.body, c.var, p.ty)
+    elif cls is Unfold and type(c) is Fold:
+        return c.body
     return None
 
 

@@ -228,15 +228,16 @@ class Unfold(Term):
 Path = tuple
 
 def children(t: Term) -> tuple:
-    match t:
-        case Var():
-            return ()
-        case Lam(_, _, b) | BangLam(_, _, b) | TyLam(_, b):
-            return (b,)
-        case App(f, a):
-            return (f, a)
-        case Bang(b) | TyApp(b, _) | Fold(_, b) | Unfold(b):
-            return (b,)
+    cls = type(t)
+    if cls is App:
+        return (t.fn, t.arg)
+    if cls is Var:
+        return ()
+    if cls is TyApp:
+        return (t.fn,)
+    if (cls is Lam or cls is BangLam or cls is Bang or cls is TyLam
+            or cls is Fold or cls is Unfold):
+        return (t.body,)
     raise TypeError(t)
 
 
@@ -362,37 +363,33 @@ def subst_term(t: Term, x: str, u: Term) -> Term:
     """t{x := u}, renaming binders in t when they would capture u's variables."""
     if x not in t.fvs:
         return t
-    match t:
-        case Var():
-            return u
-        case App(f, a):
-            return App(subst_term(f, x, u), subst_term(a, x, u))
-        case Bang(b):
-            return Bang(subst_term(b, x, u))
-        case TyApp(f, ty):
-            return TyApp(subst_term(f, x, u), ty)
-        case Fold(ty, b):
-            return Fold(ty, subst_term(b, x, u))
-        case Unfold(b):
-            return Unfold(subst_term(b, x, u))
-        case Lam(y, ty, b):
-            if y in u.fvs:
-                y2 = fresh_name(y, u.fvs | b.fvs)
-                b = subst_term(b, y, Var(y2))
-                y = y2
-            return Lam(y, ty, subst_term(b, x, u))
-        case BangLam(y, ty, b):
-            if y in u.fvs:
-                y2 = fresh_name(y, u.fvs | b.fvs)
-                b = subst_term(b, y, Var(y2))
-                y = y2
-            return BangLam(y, ty, subst_term(b, x, u))
-        case TyLam(a, b):
-            if a in u.ftv:
-                a2 = fresh_name(a, u.ftv | b.ftv)
-                b = subst_type_in_term(b, a, TyVar(a2))
-                a = a2
-            return TyLam(a, subst_term(b, x, u))
+    cls = type(t)
+    if cls is App:
+        return App(subst_term(t.fn, x, u), subst_term(t.arg, x, u))
+    if cls is Var:
+        return u
+    if cls is Lam or cls is BangLam:
+        y, b = t.var, t.body
+        if y in u.fvs:
+            y2 = fresh_name(y, u.fvs | b.fvs)
+            b = subst_term(b, y, Var(y2))
+            y = y2
+        return cls(y, t.ty, subst_term(b, x, u))
+    if cls is Bang:
+        return Bang(subst_term(t.body, x, u))
+    if cls is TyApp:
+        return TyApp(subst_term(t.fn, x, u), t.ty)
+    if cls is TyLam:
+        a, b = t.var, t.body
+        if a in u.ftv:
+            a2 = fresh_name(a, u.ftv | b.ftv)
+            b = subst_type_in_term(b, a, TyVar(a2))
+            a = a2
+        return TyLam(a, subst_term(b, x, u))
+    if cls is Fold:
+        return Fold(t.ty, subst_term(t.body, x, u))
+    if cls is Unfold:
+        return Unfold(subst_term(t.body, x, u))
     raise TypeError(t)
 
 
@@ -608,39 +605,60 @@ def _pty(t: Type, prec: int) -> str:
 
 
 def print_term(t: Term) -> str:
-    return fold_term(t, lambda s: (s, None), _print_node)[0]
+    # One list of text pieces, filled from an explicit stack of pieces and
+    # (subterm, precedence of its position) pairs, so printing is linear.
+    # Subterms share their type annotations, so each type is printed once.
+    out = []
+    stack = [(t, 0)]
+    types = {}
+
+    def ty_text(ty, prec):
+        text = types.get((ty, prec))
+        if text is None:
+            text = types[ty, prec] = _pty(ty, prec)
+        return text
+
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, prec = item
+        cls = type(t)
+        level = _PRINT_LEVEL.get(cls)
+        if level is None:
+            raise TypeError(t)
+        if prec >= level:
+            out.append("(")
+            stack.append(")")
+        if cls is App:
+            stack += ((t.arg, 2), " ", (t.fn, 1))
+        elif cls is Var:
+            out.append(t.name)
+        elif cls is Lam or cls is BangLam:
+            out.append("\\" if cls is Lam else "\\!")
+            out.append(t.var if t.ty is None else "%s:%s" % (t.var, ty_text(t.ty, 2)))
+            out.append(". ")
+            stack.append((t.body, 0))
+        elif cls is TyLam:
+            out.append("/\\%s. " % t.var)
+            stack.append((t.body, 0))
+        elif cls is TyApp:
+            stack += (" [%s]" % ty_text(t.ty, 0), (t.fn, 1))
+        elif cls is Bang:
+            out.append("!")
+            stack.append((t.body, 3))
+        elif cls is Fold:
+            out.append("fold[%s] " % ty_text(t.ty, 0))
+            stack.append((t.body, 3))
+        else:
+            out.append("unfold ")
+            stack.append((t.body, 3))
+    return "".join(out)
 
 
-def _ann(ty: Type | None) -> str:
-    return "" if ty is None else ":" + _pty(ty, 2)
-
-
-def _at(kid: tuple, prec: int) -> str:
-    """A printed child in a position of precedence prec."""
-    text, level = kid
-    return "(%s)" % text if prec >= level else text
-
-
-def _print_node(t: Term, kids) -> tuple:
-    """(text, level): the text of t and the least precedence at which it
-    needs parentheses (4: never)."""
-    match t:
-        case Var(x):
-            return x, 4
-        case Lam(x, ty, _):
-            return "\\%s%s. %s" % (x, _ann(ty), kids[0][0]), 1
-        case BangLam(x, ty, _):
-            return "\\!%s%s. %s" % (x, _ann(ty), kids[0][0]), 1
-        case TyLam(a, _):
-            return "/\\%s. %s" % (a, kids[0][0]), 1
-        case App():
-            return "%s %s" % (_at(kids[0], 1), _at(kids[1], 2)), 2
-        case TyApp(_, ty):
-            return "%s [%s]" % (_at(kids[0], 1), _pty(ty, 0)), 2
-        case Bang():
-            return "!" + _at(kids[0], 3), 4
-        case Fold(ty, _):
-            return "fold[%s] %s" % (_pty(ty, 0), _at(kids[0], 3)), 2
-        case Unfold():
-            return "unfold %s" % _at(kids[0], 3), 2
-    raise TypeError(t)
+# The least precedence at which a node's text needs parentheses: binders
+# extend right, application spines and prefix forms bind tighter, and
+# variables and bangs never need them.
+_PRINT_LEVEL = {Lam: 1, BangLam: 1, TyLam: 1, App: 2, TyApp: 2, Fold: 2,
+                Unfold: 2, Var: 4, Bang: 4}

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from ealc import (
@@ -6,7 +8,7 @@ from ealc import (
     alpha_eq, bool_term,
     check_stratification, church_string, decode_church_string, depth_map,
     erase_annotations, is_unit, parse_term, parse_type, print_term,
-    print_type, ParseError,
+    print_type, ParseError, scott_string,
     split_occurrences, subst_term, subst_type, truncate_term, type_alpha_eq,
 )
 from ealc.syntax import (
@@ -68,12 +70,20 @@ def test_class_violations_rejected_at_parse():
 
 
 def test_parse_errors_positioned():
-    with pytest.raises(ParseError):
-        parse_term(r"\x:a.")
-    with pytest.raises(ParseError):
-        parse_term("(x")
-    with pytest.raises(ParseError):
-        parse_term("x ?")
+    # line:col of the offending token, or of the end of input
+    for text, line, col, msg in [
+            (r"\x:a.", 1, 6, "expected a term (at 'end of input')"),
+            ("(x", 1, 3, "expected ')' (at 'end of input')"),
+            ("x ?", 1, 3, "unexpected character '?'"),
+            ("-- c\n\\x:a.\n  (x", 3, 5, "expected ')' (at 'end of input')"),
+            ("\\x:a.\n\tx ]\n", 2, 4, "trailing input (at ']')"),
+            ("x\n\n  \\y. y ?", 3, 9, "unexpected character '?'"),
+            ("let !x = u\nin", 2, 3, "expected a term (at 'end of input')"),
+            ("\\x:(a -o\n !).x", 2, 3, "expected a type (at ')')")]:
+        with pytest.raises(ParseError) as e:
+            parse_term(text)
+        assert (e.value.line, e.value.col) == (line, col), text
+        assert str(e.value) == "%d:%d: %s" % (line, col, msg), text
 
 
 def test_comments_and_whitespace():
@@ -274,6 +284,19 @@ def test_walks_on_a_long_church_string():
     assert len(dm) == 2 * 1200 + 6 and dm[(0,) * 5 + (1,) * 1200] == 1
     t2, names = split_occurrences(short.body.body.body.body, "f1")
     assert len(names) == w[:1200].count("1") and "f1" not in t2.fvs
+
+
+def test_long_scott_string_prints_in_linear_time():
+    # A Scott string nests each suffix one level deeper, about 190
+    # characters a letter; printing emits each piece once, into one list.
+    w = "01" * 5000
+    t = scott_string(w)
+    t0 = time.perf_counter()
+    text = print_term(t)
+    assert time.perf_counter() - t0 < 1.0
+    empty = print_term(scott_string(""))  # fold[S] (/\a. ... \x:a. x)
+    head = empty[:-len("x)")]
+    assert text == "".join(head + "f%s (" % c for c in w) + head + "x" + ")" * (2 * len(w) + 1)
 
 
 # -- node classes -------------------------------------------------------------
