@@ -9,7 +9,8 @@ Alongside the two ASTs this module provides the syntactic toolbox everything
 else builds on: capture-avoiding substitution, alpha-equivalence, depth maps,
 the stratification check, occurrence splitting and annotation erasure, and
 the pretty-printers (which round-trip through ealc.parser up to alpha).
-Term walks share two explicit-stack traversals, preorder and fold_term.
+Term walks share two explicit-stack traversals, preorder and fold_term;
+the printer keeps its own stack, so that it emits text in order.
 """
 
 from __future__ import annotations
@@ -636,9 +637,8 @@ def print_term(t: Term) -> str:
         elif cls is Var:
             out.append(t.name)
         elif cls is Lam or cls is BangLam:
-            out.append("\\" if cls is Lam else "\\!")
-            out.append(t.var if t.ty is None else "%s:%s" % (t.var, ty_text(t.ty, 2)))
-            out.append(". ")
+            ann = "" if t.ty is None else ":" + ty_text(t.ty, 2)
+            out.append("%s%s%s. " % ("\\" if cls is Lam else "\\!", t.var, ann))
             stack.append((t.body, 0))
         elif cls is TyLam:
             out.append("/\\%s. " % t.var)
