@@ -20,7 +20,7 @@ from .extract import (
     verify_dfa,
 )
 from .parser import ParseError, parse_term, parse_type
-from .reduction import DEFAULT_FUEL, DecodeError, FuelExhausted, normalize, trace
+from .reduction import DEFAULT_FUEL, DecodeError, FuelExhausted, engine
 from .regcompile import (
     AutomatonError, RegexError, compile_dfa, compile_monoid, dfa_from_json,
     dfa_to_json, monoid_from_json, regex_to_dfa,
@@ -61,13 +61,16 @@ def _cmd_check(args) -> int:
 def _cmd_norm(args) -> int:
     term = parse_term(_read(args.file))
     lines = []
-    if args.show_steps:
-        n = 0
-        for term, path in trace(term, args.fuel):
-            n += 1
-            lines.append("-- step %d: /%s" % (n, ".".join(str(i) for i in path)))
-    else:
-        term = normalize(term, args.fuel)
+    steps = engine(term, args.fuel)  # yields its live frames, returns the normal form
+    while True:
+        try:
+            frames, _ = next(steps)
+        except StopIteration as done:
+            term = done.value
+            break
+        if args.show_steps:
+            lines.append("-- step %d: /%s" % (len(lines) + 1,
+                                              ".".join(str(i) for _, i in frames)))
     lines.append(print_term(term))
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK

@@ -71,12 +71,6 @@ def bang(ty: Type, k: int = 1) -> Type:
     return ty
 
 
-def bangs(t: Term, k: int) -> Term:
-    for _ in range(k):
-        t = Bang(t)
-    return t
-
-
 # -- first-order data --------------------------------------------------------
 
 def _check_binary(w: str):
@@ -165,20 +159,6 @@ def scott_string(w: str) -> Term:
     for c in reversed(w):  # innermost first, so no recursion per letter
         term = node(App(Var("f" + c), term))
     return term
-
-
-def scott_cons(c: str) -> Term:
-    """\\s:StrS. fold[StrS](/\\a. \\f0. \\f1. \\x. fc s)  :  StrS -o StrS"""
-    _check_binary(c)
-    if len(c) != 1:
-        raise ValueError("cons takes a single letter")
-    strs = scott_str_ty()
-    a = TyVar("a")
-    arm = Arrow(strs, a)
-    f = "f0" if c == "0" else "f1"
-    inner = Fold(strs, TyLam("a", Lam("f0", arm, Lam("f1", arm, Lam(
-        "x", a, App(Var(f), Var("s")))))))
-    return Lam("s", strs, inner)
 
 
 # -- functorial promotion ------------------------------------------------------
@@ -283,46 +263,3 @@ def assemble_fexptime(f: Term, t_clock: Term, k: int) -> Term:
     body = App(App(lifted_cast, App(t_clock, Bang(Var("w")))),
                App(f, Bang(Var("w"))))
     return BangLam("w", STR, body)
-
-
-# -- small closed helpers used around the test corpus and the CLI --------------
-
-def string_length() -> Term:
-    """\\w:Str. /\\a. \\!f. w [a] !f !f  :  Str -o Nat"""
-    a = TyVar("a")
-    return Lam("w", STR, TyLam("a", BangLam(
-        "f", Arrow(a, a),
-        App(App(TyApp(Var("w"), a), Bang(Var("f"))), Bang(Var("f"))))))
-
-
-def nat_succ() -> Term:
-    """\\n:Nat. /\\a. \\!f. let !g = n [a] !f in !(\\x. f (g x))  :  Nat -o Nat"""
-    a = TyVar("a")
-    inner = Bang(Lam("x", a, App(Var("f"), App(Var("g"), Var("x")))))
-    return Lam("n", NAT, TyLam("a", BangLam(
-        "f", Arrow(a, a),
-        App(BangLam("g", Arrow(a, a), inner),
-            App(TyApp(Var("n"), a), Bang(Var("f")))))))
-
-
-def church_to_scott() -> Term:
-    """\\w:Str. let !g = w [StrS] !cons0 !cons1 in !(g S(""))  :  Str -o !StrS"""
-    strs = scott_str_ty()
-    body = App(BangLam("g", Arrow(strs, strs), Bang(App(Var("g"), scott_string("")))),
-               App(App(TyApp(Var("w"), strs), Bang(scott_cons("0"))),
-                   Bang(scott_cons("1"))))
-    return Lam("w", STR, body)
-
-
-def length_plus_one_clock() -> Term:
-    """\\!w:Str. !(succ (length w))  :  !Str -o !Nat"""
-    body = Bang(App(nat_succ(), App(string_length(), Var("w"))))
-    return BangLam("w", STR, body)
-
-
-def identity_via_scott() -> Term:
-    """The identity as a Scott-string producer: !Str -o !!StrS.
-
-    Paired with a length clock this is the simplest input to
-    assemble_fexptime."""
-    return promote(church_to_scott(), 1, 1)

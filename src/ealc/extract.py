@@ -32,7 +32,7 @@ from .syntax import (
 )
 from .typecheck import Context, MUEAL, typecheck
 from .encode import BOOL, STR, church_string, str_of
-from .reduction import DEFAULT_FUEL, Evaluator, normalize, read_bool
+from .reduction import DEFAULT_FUEL, Evaluator, normalize, read_bool, strip_bangs
 from .regcompile import (
     ALPHABET, Dfa, all_words, explore, minimize, numbered_dfa,
 )
@@ -140,10 +140,7 @@ def decompose_bang_input(t: Term, fuel: int = DEFAULT_FUEL) -> Decomposition:
                 "normal form is not an abstraction of the expected kind: %s"
                 % print_term(nf))
 
-    bang_peel = 0
-    while isinstance(body, Bang):
-        body = body.body
-        bang_peel += 1
+    body, bang_peel = strip_bangs(body)
 
     # every free occurrence of x must be x[sigma]; collect sigmas preorder
     sigmas = []

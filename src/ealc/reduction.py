@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .syntax import (
-    App, Bang, BangLam, Fold, Lam, Path, Term, TyApp, TyLam, TyVar, Unfold,
+    App, Bang, BangLam, Fold, Lam, Term, TyApp, TyLam, TyVar, Unfold,
     Var, children, erase_annotations, fresh_name, print_term, replace_child,
     subst_term, subst_type_in_term,
 )
@@ -120,6 +120,11 @@ def _reduce(t: Term, fuel: int):
             return focus
 
 
+# The engine under a public name, for callers that watch each contraction:
+# `eal norm --show-steps` reads the contracted paths off the frames.
+engine = _reduce
+
+
 def trace(t: Term, fuel: int = DEFAULT_FUEL) -> Iterator[tuple]:
     """Yield (term, contracted path) pairs until a normal form is reached."""
     for frames, term in _reduce(t, fuel):
@@ -128,63 +133,23 @@ def trace(t: Term, fuel: int = DEFAULT_FUEL) -> Iterator[tuple]:
         yield term, tuple(i for _, i in frames)
 
 
-def step_with_path(t: Term) -> tuple | None:
-    """Contract the leftmost-outermost redex; return (term, path) or None."""
-    return next(trace(t, 1), None)
-
-
 def step(t: Term) -> Term | None:
     """One leftmost-outermost step, or None if t is normal."""
-    r = step_with_path(t)
+    r = next(trace(t, 1), None)
     return None if r is None else r[0]
 
 
 def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
-    engine = _reduce(t, fuel)
+    steps = _reduce(t, fuel)
     while True:
         try:
-            next(engine)
+            next(steps)
         except StopIteration as done:
             return done.value
 
 
 def is_normal(t: Term) -> bool:
-    return step_with_path(t) is None
-
-
-# -- alternate strategies, used to check confluence -------------------------
-
-def redex_paths(t: Term) -> list:
-    out = []
-    def walk(s, path):
-        if _contract(s) is not None:
-            out.append(path)
-        for i, c in enumerate(children(s)):
-            walk(c, path + (i,))
-    walk(t, ())
-    return out
-
-
-def contract_at(t: Term, path: Path) -> Term:
-    if not path:
-        r = _contract(t)
-        if r is None:
-            raise ValueError("no redex at %r" % (path,))
-        return r
-    i = path[0]
-    return replace_child(t, i, contract_at(children(t)[i], path[1:]))
-
-
-def normalize_random(t: Term, rng, fuel: int = DEFAULT_FUEL) -> Term:
-    """Normalize contracting a randomly chosen redex each step."""
-    for _ in range(fuel):
-        paths = redex_paths(t)
-        if not paths:
-            return t
-        t = contract_at(t, paths[rng.randrange(len(paths))])
-    if not redex_paths(t):
-        return t
-    raise FuelExhausted(fuel)
+    return next(trace(t, 1), None) is None
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -371,7 +336,8 @@ class Evaluator:
 
 # -- readers -----------------------------------------------------------------
 
-def _strip_bangs(t: Term) -> tuple:
+def strip_bangs(t: Term) -> tuple:
+    """t without its outer bangs, and how many there were."""
     n = 0
     while isinstance(t, Bang):
         t = t.body
@@ -379,9 +345,29 @@ def _strip_bangs(t: Term) -> tuple:
     return t, n
 
 
+def _erased_nf(t: Term, fuel: int) -> Term:
+    """The erased normal form of t under its outer bangs."""
+    return strip_bangs(erase_annotations(normalize(t, fuel)))[0]
+
+
+def _iterator_body(body: Term, x: str, letters: dict) -> str:
+    """Read f_{c1} (... (f_{cn} x)), where `letters` maps each step
+    function's name to its letter, and return c1 ... cn."""
+    out = []
+    while True:
+        match body:
+            case Var(z) if z == x:
+                return "".join(out)
+            case App(Var(f), rest) if f in letters:
+                out.append(letters[f])
+                body = rest
+            case _:
+                raise DecodeError("unexpected iterator body: %s" % print_term(body))
+
+
 def read_bool(t: Term, fuel: int = DEFAULT_FUEL) -> bool:
     """Read a boolean out of a closed term of type !^k Bool (any k >= 0)."""
-    nf, _ = _strip_bangs(erase_annotations(normalize(t, fuel)))
+    nf = _erased_nf(t, fuel)
     match nf:
         case Lam(x, _, Lam(y, _, Var(z))):
             if z == y:  # innermost binding wins under shadowing
@@ -393,43 +379,23 @@ def read_bool(t: Term, fuel: int = DEFAULT_FUEL) -> bool:
 
 def decode_church_string(t: Term, fuel: int = DEFAULT_FUEL) -> str:
     """Match \\!f0. \\!f1. !(\\x. f_{w1} (... (f_{wn} x))) and return w."""
-    nf, _ = _strip_bangs(erase_annotations(normalize(t, fuel)))
+    nf = _erased_nf(t, fuel)
     match nf:
         case BangLam(f0, _, BangLam(f1, _, Bang(Lam(x, _, body)))):
             if x in (f0, f1):
                 raise DecodeError("iterator variable shadows a step function")
-            letters = []
-            while True:
-                match body:
-                    case Var(z) if z == x:
-                        return "".join(letters)
-                    case App(Var(f), rest) if f == f1:  # innermost first
-                        letters.append("1")
-                        body = rest
-                    case App(Var(f), rest) if f == f0:
-                        letters.append("0")
-                        body = rest
-                    case _:
-                        raise DecodeError("unexpected iterator body: %s" % print_term(body))
+            # when f0 and f1 share a name, the inner binder f1 wins
+            return _iterator_body(body, x, {f0: "0", f1: "1"})
     raise DecodeError("not a Church string: %s" % print_term(nf))
 
 
 def decode_church_nat(t: Term, fuel: int = DEFAULT_FUEL) -> int:
-    nf, _ = _strip_bangs(erase_annotations(normalize(t, fuel)))
+    nf = _erased_nf(t, fuel)
     match nf:
         case BangLam(f, _, Bang(Lam(x, _, body))):
             if x == f:
                 raise DecodeError("iterator variable shadows the step function")
-            n = 0
-            while True:
-                match body:
-                    case Var(z) if z == x:
-                        return n
-                    case App(Var(g), rest) if g == f:
-                        n += 1
-                        body = rest
-                    case _:
-                        raise DecodeError("unexpected iterator body: %s" % print_term(body))
+            return len(_iterator_body(body, x, {f: "1"}))
     raise DecodeError("not a Church numeral: %s" % print_term(nf))
 
 

@@ -64,17 +64,19 @@ def dfa(states, start, accept, delta) -> Dfa:
                {s: dict(row) for s, row in delta.items()})
 
 
-def dfa_to_dict(d: Dfa) -> dict:
-    return {
+def dfa_to_json(d: Dfa) -> str:
+    obj = {
         "alphabet": list(ALPHABET),
         "states": list(d.states),
         "start": d.start,
         "accept": sorted(d.accept),
         "delta": {s: {c: d.delta[s][c] for c in ALPHABET} for s in d.states},
     }
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def dfa_from_dict(obj: dict) -> Dfa:
+def dfa_from_json(text: str) -> Dfa:
+    obj = json.loads(text)
     if not isinstance(obj, dict):
         raise AutomatonError("DFA must be a JSON object")
     try:
@@ -93,14 +95,6 @@ def dfa_from_dict(obj: dict) -> Dfa:
         raise AutomatonError("DFA lacks %s" % e) from None
     except (TypeError, AttributeError, ValueError) as e:
         raise AutomatonError("malformed DFA: %s" % e) from None
-
-
-def dfa_to_json(d: Dfa) -> str:
-    return json.dumps(dfa_to_dict(d), indent=2, sort_keys=True) + "\n"
-
-
-def dfa_from_json(text: str) -> Dfa:
-    return dfa_from_dict(json.loads(text))
 
 
 def explore(start, step):

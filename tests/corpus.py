@@ -9,15 +9,12 @@ normal form, for subject-reduction and simulation properties.
 from __future__ import annotations
 
 from ealc import (
-    App, Arrow, Bang, BangLam, BangType, BOOL, Context, EAL, Lam, MUEAL,
-    STR, TyApp, TyLam, TyVar, Var, bool_term, cast_term, church_nat,
-    church_string, compile_dfa, dfa, monoid_elem, monoid_ty, pair, proj,
-    promote, scott_string, typecheck,
+    App, Arrow, Bang, BangLam, BangType, BOOL, Context, EAL, Fold, Lam,
+    MUEAL, NAT, STR, Term, TyApp, TyLam, TyVar, Var, bool_term, cast_term,
+    church_nat, church_string, compile_dfa, dfa, monoid_elem, monoid_ty,
+    pair, proj, promote, scott_string, typecheck,
 )
-from ealc.encode import (
-    church_to_scott, identity_via_scott, length_plus_one_clock, nat_succ,
-    scott_cons, string_length,
-)
+from ealc.encode import _check_binary, scott_str_ty
 
 # ---------------------------------------------------------------------------
 # Reference automata (the five acceptance languages)
@@ -107,6 +104,71 @@ def const_decider(value: bool, banged_input: bool = True):
         return BangLam("x", STR, Bang(core))
     core = App(BangLam("d", Arrow(a, a), Bang(bool_term(value))), subject)
     return Lam("x", STR, core)
+
+
+# ---------------------------------------------------------------------------
+# Builders only the tests use: bang towers, string length and successor, and
+# the Church-to-Scott identity that feeds assemble_fexptime
+
+def bangs(t: Term, k: int) -> Term:
+    for _ in range(k):
+        t = Bang(t)
+    return t
+
+
+def scott_cons(c: str) -> Term:
+    """\\s:StrS. fold[StrS](/\\a. \\f0. \\f1. \\x. fc s)  :  StrS -o StrS"""
+    _check_binary(c)
+    if len(c) != 1:
+        raise ValueError("cons takes a single letter")
+    strs = scott_str_ty()
+    a = TyVar("a")
+    arm = Arrow(strs, a)
+    f = "f0" if c == "0" else "f1"
+    inner = Fold(strs, TyLam("a", Lam("f0", arm, Lam("f1", arm, Lam(
+        "x", a, App(Var(f), Var("s")))))))
+    return Lam("s", strs, inner)
+
+
+def string_length() -> Term:
+    """\\w:Str. /\\a. \\!f. w [a] !f !f  :  Str -o Nat"""
+    a = TyVar("a")
+    return Lam("w", STR, TyLam("a", BangLam(
+        "f", Arrow(a, a),
+        App(App(TyApp(Var("w"), a), Bang(Var("f"))), Bang(Var("f"))))))
+
+
+def nat_succ() -> Term:
+    """\\n:Nat. /\\a. \\!f. let !g = n [a] !f in !(\\x. f (g x))  :  Nat -o Nat"""
+    a = TyVar("a")
+    inner = Bang(Lam("x", a, App(Var("f"), App(Var("g"), Var("x")))))
+    return Lam("n", NAT, TyLam("a", BangLam(
+        "f", Arrow(a, a),
+        App(BangLam("g", Arrow(a, a), inner),
+            App(TyApp(Var("n"), a), Bang(Var("f")))))))
+
+
+def church_to_scott() -> Term:
+    """\\w:Str. let !g = w [StrS] !cons0 !cons1 in !(g S(""))  :  Str -o !StrS"""
+    strs = scott_str_ty()
+    body = App(BangLam("g", Arrow(strs, strs), Bang(App(Var("g"), scott_string("")))),
+               App(App(TyApp(Var("w"), strs), Bang(scott_cons("0"))),
+                   Bang(scott_cons("1"))))
+    return Lam("w", STR, body)
+
+
+def length_plus_one_clock() -> Term:
+    """\\!w:Str. !(succ (length w))  :  !Str -o !Nat"""
+    body = Bang(App(nat_succ(), App(string_length(), Var("w"))))
+    return BangLam("w", STR, body)
+
+
+def identity_via_scott() -> Term:
+    """The identity as a Scott-string producer: !Str -o !!StrS.
+
+    Paired with a length clock this is the simplest input to
+    assemble_fexptime."""
+    return promote(church_to_scott(), 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,18 +20,17 @@ from ealc import (
     truncate_term, truncate_type, type_alpha_eq, typecheck, typecheck_closed,
     verify_dfa,
 )
-from ealc.encode import (
-    bangs, identity_via_scott, length_plus_one_clock, assemble_fexptime,
-)
+from ealc.encode import assemble_fexptime
 from ealc.extract import all_words
-from ealc.reduction import step_with_path
+from ealc.reduction import trace
 from ealc.semantics import EndoMonoid, POLICY_ERROR, interp_type
 from ealc.syntax import depth_map
 
 from conftest import record_criterion
 from corpus import (
-    EAL_CLOSED, MUEAL_CLOSED, REDUCIBLE, REFERENCE_DFAS, and_term,
-    const_decider, identity, not_term, or_term,
+    EAL_CLOSED, MUEAL_CLOSED, REDUCIBLE, REFERENCE_DFAS, and_term, bangs,
+    const_decider, identity, identity_via_scott, length_plus_one_clock,
+    not_term, or_term,
 )
 
 
@@ -100,11 +99,7 @@ def test_criterion_4_truncation_meta_theory():
         if mode != EAL:
             continue
         t = term
-        while True:
-            nxt = step_with_path(t)
-            if nxt is None:
-                break
-            t2, path = nxt
+        for t2, path in trace(term):
             tr, tr2 = truncate_term(t), truncate_term(t2)
             assert alpha_eq(normalize(tr), normalize(tr2)), name
             if depth_map(t)[path] >= 1:
@@ -120,12 +115,7 @@ def test_criterion_5_subject_reduction_and_stratification():
         assert check_stratification(term) == [], name
     for name, term, mode in REDUCIBLE:
         ty = typecheck(mode, Context(), term)
-        t = term
-        while True:
-            nxt = step_with_path(t)
-            if nxt is None:
-                break
-            t = nxt[0]
+        for t, _ in trace(term):
             assert type_alpha_eq(typecheck(mode, Context(), t), ty), name
 
     def kind_of(term):

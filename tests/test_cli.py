@@ -1,16 +1,20 @@
 import json
+import random
+import time
 
 import pytest
 
 import ealc.extract
 from ealc.cli import main
 from ealc import (
-    STR, Bang, BangLam, alpha_eq, bool_term, cast_term, church_string,
+    STR, App, Bang, BangLam, alpha_eq, bool_term, cast_term, church_string,
     compile_dfa, dfa_from_json, dfa_to_json, parse_term, print_term,
     scott_string,
 )
 
-from corpus import CONTAINS_11, PARITY, const_decider
+from ealc.reduction import trace
+
+from corpus import CONTAINS_11, DIV3, PARITY, REDUCIBLE, const_decider
 
 
 def write(path, text):
@@ -53,11 +57,43 @@ def test_norm(tmp_path, capsys):
     assert alpha_eq(parse_term(out), parse_term(r"/\a. \x:a. \y:a. x"))
 
 
+def _shown_steps(term):
+    """What `eal norm --show-steps` prints for term: the paths trace
+    contracts, then the normal form."""
+    lines = []
+    for n, (term, path) in enumerate(trace(term), 1):
+        lines.append("-- step %d: /%s\n" % (n, ".".join(str(i) for i in path)))
+    return "".join(lines) + print_term(term) + "\n"
+
+
 def test_norm_show_steps(tmp_path, capsys):
-    f = write(tmp_path / "t.eal", r"(\x:Bool. x) ((\y:Bool. y) z)")
+    sources = [r"(\x:Bool. x) ((\y:Bool. y) z)"]
+    sources += [print_term(term) for _, term, _ in REDUCIBLE]
+    for text in sources:
+        f = write(tmp_path / "t.eal", text + "\n")
+        assert main(["norm", f, "--show-steps"]) == 0
+        assert capsys.readouterr() == (_shown_steps(parse_term(text)), ""), text
+
+
+def test_norm_show_steps_fuel_exhausted(tmp_path, capsys):
+    # no step is printed when the normal form is not reached
+    f = write(tmp_path / "omega.eal", r"(\x. x x) (\x. x x)")
+    assert main(["norm", f, "--show-steps", "--fuel", "50"]) == 3
+    assert capsys.readouterr() == (
+        "", "resource limit: no normal form after 50 reduction steps\n")
+
+
+def test_norm_show_steps_is_linear(tmp_path, capsys):
+    # the steps are read off the engine's frames, not rebuilt from the root
+    w = "".join(random.Random(200).choice("01") for _ in range(200))
+    f = write(tmp_path / "div3.eal",
+              print_term(App(compile_dfa(DIV3), church_string(w))) + "\n")
+    t0 = time.perf_counter()
     assert main(["norm", f, "--show-steps"]) == 0
+    seconds = time.perf_counter() - t0
     out = capsys.readouterr().out
-    assert "-- step 1: /" in out
+    assert out.count("-- step ") > 1000
+    assert seconds < 1.0, seconds
 
 
 def test_norm_fuel(tmp_path, capsys):

@@ -10,9 +10,12 @@ from ealc import (
     parse_term, proj, promote, read_bool, scott_string, tensor, type_alpha_eq,
     typecheck_closed,
 )
-from ealc.encode import bangs, pair_elim
+from ealc.encode import pair_elim
 
-from corpus import identity, not_term, and_term
+from corpus import (
+    and_term, bangs, identity, identity_via_scott, length_plus_one_clock,
+    not_term,
+)
 
 
 def words(max_len):
@@ -149,7 +152,6 @@ def test_cast_prefix_semantics():
 
 def test_assemble_rejects_ill_typed_inputs():
     from ealc import assemble_fexptime, TypeCheckError
-    from ealc.encode import identity_via_scott, length_plus_one_clock
     with pytest.raises(TypeCheckError):
         assemble_fexptime(identity_via_scott(), bool_term(True), 0)
     with pytest.raises(TypeCheckError):

@@ -10,7 +10,8 @@ from ealc import (
     erase_annotations, is_normal, normalize, parse_term, print_term,
     read_bool, scott_string, step, typecheck,
 )
-from ealc.reduction import normalize_random, redex_paths, contract_at, trace
+from ealc.reduction import DEFAULT_FUEL, _contract, trace
+from ealc.syntax import Path, Term, children, replace_child
 
 from corpus import REDUCIBLE, PARITY
 
@@ -70,6 +71,42 @@ def test_fuel_exhaustion():
     omega = Lam("x", None, App(Var("x"), Var("x")))
     with pytest.raises(FuelExhausted):
         normalize(App(omega, omega), fuel=100)
+
+
+# -- the reference stepper: a second, recursive strategy that rescans from
+# the root at every step; the engine is checked against it --------------------
+
+def redex_paths(t: Term) -> list:
+    out = []
+    def walk(s, path):
+        if _contract(s) is not None:
+            out.append(path)
+        for i, c in enumerate(children(s)):
+            walk(c, path + (i,))
+    walk(t, ())
+    return out
+
+
+def contract_at(t: Term, path: Path) -> Term:
+    if not path:
+        r = _contract(t)
+        if r is None:
+            raise ValueError("no redex at %r" % (path,))
+        return r
+    i = path[0]
+    return replace_child(t, i, contract_at(children(t)[i], path[1:]))
+
+
+def normalize_random(t: Term, rng, fuel: int = DEFAULT_FUEL) -> Term:
+    """Normalize contracting a randomly chosen redex each step."""
+    for _ in range(fuel):
+        paths = redex_paths(t)
+        if not paths:
+            return t
+        t = contract_at(t, paths[rng.randrange(len(paths))])
+    if not redex_paths(t):
+        return t
+    raise FuelExhausted(fuel)
 
 
 def reference_trace(t):

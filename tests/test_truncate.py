@@ -121,17 +121,13 @@ def test_substitution_commutes_with_truncation():
 def test_simulation_along_traces():
     # one-step simulation: the truncations of t and t' share a normal form,
     # and a redex at depth >= 1 truncates to syntactically the same term
-    from ealc.reduction import step_with_path
+    from ealc.reduction import trace
     from ealc import depth_map
     for name, term, mode in REDUCIBLE:
         if mode != EAL:
             continue
         t = term
-        while True:
-            nxt = step_with_path(t)
-            if nxt is None:
-                break
-            t2, path = nxt
+        for t2, path in trace(term):
             tr1, tr2 = truncate_term(t), truncate_term(t2)
             assert alpha_eq(normalize(tr1), normalize(tr2)), name
             if depth_map(t)[path] >= 1:
