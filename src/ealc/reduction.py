@@ -60,9 +60,11 @@ def _contract_child(p: Term, i: int, c: Term) -> Term | None:
 
 def _contract(t: Term) -> Term | None:
     """The four redex shapes, at the root only."""
-    match t:
-        case App(f, _) | TyApp(f, _) | Unfold(f):
-            return _contract_child(t, 0, f)
+    cls = type(t)
+    if cls is App or cls is TyApp:
+        return _contract_child(t, 0, t.fn)
+    if cls is Unfold:
+        return _contract_child(t, 0, t.body)
     return None
 
 

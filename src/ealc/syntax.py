@@ -24,7 +24,9 @@ class TypeStructureError(Exception):
 
 # Nodes are plain slotted classes.  Each __init__ stores the fields named
 # in __match_args__ and the node's free variables; nodes compare and hash
-# by identity and are never changed after construction.
+# by identity and are never changed after construction.  App, Lam and
+# BangLam reuse a child's frozenset of free variables whenever theirs
+# equals it, so rebuilding a spine allocates no set per node.
 
 def _node_repr(node) -> str:
     return "%s(%s)" % (type(node).__name__, ", ".join(
@@ -132,6 +134,11 @@ def is_unit(t: Type) -> bool:
 # ---------------------------------------------------------------------------
 # Terms
 
+def _union(f: frozenset, a: frozenset) -> frozenset:
+    """f | a, reusing f or a when the union equals it."""
+    return f if not a or a is f else a if not f else f | a
+
+
 class Term:
     __slots__ = ("fvs", "ftv")  # the free term and type variables
     __repr__ = _node_repr
@@ -155,8 +162,10 @@ class Lam(Term):
 
     def __init__(self, var: str, ty: Type | None, body: Term):
         self.var, self.ty, self.body = var, ty, body
-        self.fvs = body.fvs - {var}
-        self.ftv = body.ftv if ty is None else body.ftv | ty.ftv
+        f = body.fvs
+        self.fvs = f - {var} if var in f else f
+        f = body.ftv
+        self.ftv = f if ty is None else _union(f, ty.ftv)
 
 
 class BangLam(Term):
@@ -165,8 +174,10 @@ class BangLam(Term):
 
     def __init__(self, var: str, ty: Type | None, body: Term):
         self.var, self.ty, self.body = var, ty, body
-        self.fvs = body.fvs - {var}
-        self.ftv = body.ftv if ty is None else body.ftv | ty.ftv
+        f = body.fvs
+        self.fvs = f - {var} if var in f else f
+        f = body.ftv
+        self.ftv = f if ty is None else _union(f, ty.ftv)
 
 
 class App(Term):
@@ -174,8 +185,10 @@ class App(Term):
 
     def __init__(self, fn: Term, arg: Term):
         self.fn, self.arg = fn, arg
-        self.fvs = fn.fvs | arg.fvs
-        self.ftv = fn.ftv | arg.ftv
+        f, a = fn.fvs, arg.fvs  # _union, inlined on the hottest constructor
+        self.fvs = f if not a or a is f else a if not f else f | a
+        f, a = fn.ftv, arg.ftv
+        self.ftv = f if not a or a is f else a if not f else f | a
 
 
 class Bang(Term):
@@ -244,23 +257,19 @@ def children(t: Term) -> tuple:
 
 def replace_child(t: Term, i: int, c: Term) -> Term:
     """t with child i replaced by c."""
-    match t:
-        case Lam(x, ty, _):
-            return Lam(x, ty, c)
-        case BangLam(x, ty, _):
-            return BangLam(x, ty, c)
-        case TyLam(a, _):
-            return TyLam(a, c)
-        case App(f, a):
-            return App(c, a) if i == 0 else App(f, c)
-        case Bang(_):
-            return Bang(c)
-        case TyApp(_, ty):
-            return TyApp(c, ty)
-        case Fold(ty, _):
-            return Fold(ty, c)
-        case Unfold(_):
-            return Unfold(c)
+    cls = type(t)
+    if cls is App:
+        return App(c, t.arg) if i == 0 else App(t.fn, c)
+    if cls is Lam or cls is BangLam:
+        return cls(t.var, t.ty, c)
+    if cls is TyApp:
+        return TyApp(c, t.ty)
+    if cls is Bang or cls is Unfold:
+        return cls(c)
+    if cls is TyLam:
+        return TyLam(t.var, c)
+    if cls is Fold:
+        return Fold(t.ty, c)
     raise TypeError(t)
 
 
@@ -334,39 +343,43 @@ def all_names(t: Term) -> frozenset:
 def subst_type(t: Type, a: str, repl: Type) -> Type:
     if a not in t.ftv:
         return t
-    match t:
-        case TyVar(name):
-            return repl if name == a else t
-        case Arrow(src, dst):
-            return Arrow(subst_type(src, a, repl), subst_type(dst, a, repl))
-        case BangType(body):
-            return BangType(subst_type(body, a, repl))
-        case Forall(var, body):
-            if var in repl.ftv:
-                var2 = fresh_name(var, repl.ftv | body.ftv)
-                body = subst_type(body, var, TyVar(var2))
-                var = var2
-            return Forall(var, subst_type(body, a, repl))
-        case Mu(var, body):
-            if var in repl.ftv:
-                var2 = fresh_name(var, repl.ftv | body.ftv)
-                body = subst_type(body, var, TyVar(var2))
-                var = var2
-            return Mu(var, subst_type(body, a, repl))
+    cls = type(t)
+    if cls is TyVar:
+        return repl if t.name == a else t
+    if cls is Arrow:
+        return Arrow(subst_type(t.src, a, repl), subst_type(t.dst, a, repl))
+    if cls is BangType:
+        return BangType(subst_type(t.body, a, repl))
+    if cls is Forall or cls is Mu:
+        var, body = t.var, t.body
+        if var in repl.ftv:
+            var2 = fresh_name(var, repl.ftv | body.ftv)
+            body = subst_type(body, var, TyVar(var2))
+            var = var2
+        return cls(var, subst_type(body, a, repl))
     raise TypeError(t)
 
 
-def _subst_opt(ty: Type | None, a: str, repl: Type) -> Type | None:
-    return None if ty is None else subst_type(ty, a, repl)
-
-
 def subst_term(t: Term, x: str, u: Term) -> Term:
-    """t{x := u}, renaming binders in t when they would capture u's variables."""
+    """t{x := u}, renaming binders in t when they would capture u's variables.
+
+    A right-nested application spine f1 (f2 (... fn)), such as the body of
+    a Church string, is walked in a loop and rebuilt bottom-up, so its
+    length costs no recursion depth."""
     if x not in t.fvs:
         return t
     cls = type(t)
     if cls is App:
-        return App(subst_term(t.fn, x, u), subst_term(t.arg, x, u))
+        spine = []
+        while True:
+            spine.append(t.fn)
+            t = t.arg
+            if type(t) is not App or x not in t.fvs:
+                break
+        r = subst_term(t, x, u)
+        for f in reversed(spine):
+            r = App(subst_term(f, x, u), r)
+        return r
     if cls is Var:
         return u
     if cls is Lam or cls is BangLam:
@@ -398,31 +411,31 @@ def subst_type_in_term(t: Term, a: str, repl: Type) -> Term:
     """t{a := repl} on every annotation, renaming type binders as needed."""
     if a not in t.ftv:
         return t
-    match t:
-        case Var():
+    cls = type(t)
+    if cls is App:
+        return App(subst_type_in_term(t.fn, a, repl),
+                   subst_type_in_term(t.arg, a, repl))
+    if cls is Lam or cls is BangLam:
+        ty = t.ty
+        return cls(t.var, None if ty is None else subst_type(ty, a, repl),
+                   subst_type_in_term(t.body, a, repl))
+    if cls is TyApp:
+        return TyApp(subst_type_in_term(t.fn, a, repl), subst_type(t.ty, a, repl))
+    if cls is Bang or cls is Unfold:
+        return cls(subst_type_in_term(t.body, a, repl))
+    if cls is TyLam:
+        bvar, b = t.var, t.body
+        if bvar == a:
             return t
-        case App(f, arg):
-            return App(subst_type_in_term(f, a, repl), subst_type_in_term(arg, a, repl))
-        case Bang(b):
-            return Bang(subst_type_in_term(b, a, repl))
-        case TyApp(f, ty):
-            return TyApp(subst_type_in_term(f, a, repl), subst_type(ty, a, repl))
-        case Fold(ty, b):
-            return Fold(subst_type(ty, a, repl), subst_type_in_term(b, a, repl))
-        case Unfold(b):
-            return Unfold(subst_type_in_term(b, a, repl))
-        case Lam(x, ty, b):
-            return Lam(x, _subst_opt(ty, a, repl), subst_type_in_term(b, a, repl))
-        case BangLam(x, ty, b):
-            return BangLam(x, _subst_opt(ty, a, repl), subst_type_in_term(b, a, repl))
-        case TyLam(bvar, b):
-            if bvar == a:
-                return t
-            if bvar in repl.ftv:
-                b2 = fresh_name(bvar, repl.ftv | b.ftv)
-                b = subst_type_in_term(b, bvar, TyVar(b2))
-                bvar = b2
-            return TyLam(bvar, subst_type_in_term(b, a, repl))
+        if bvar in repl.ftv:
+            b2 = fresh_name(bvar, repl.ftv | b.ftv)
+            b = subst_type_in_term(b, bvar, TyVar(b2))
+            bvar = b2
+        return TyLam(bvar, subst_type_in_term(b, a, repl))
+    if cls is Fold:
+        return Fold(subst_type(t.ty, a, repl), subst_type_in_term(t.body, a, repl))
+    if cls is Var:
+        return t
     raise TypeError(t)
 
 

@@ -1,15 +1,20 @@
 """The contraction path dispatches on type(t); match_reference.py keeps the
 class-pattern versions it replaced.  Both must build the same terms, binder
-names included, so results are compared by their printed text."""
+names included, so results are compared by their printed text and their
+binder names."""
 
 import pytest
 
 from ealc import (
-    EAL, App, Bang, TyApp, TyLam, TyVar, Var, church_string, compile_dfa, promote,
+    EAL, App, Arrow, Bang, BangLam, BangType, Forall, Lam, Mu, TyApp, TyLam,
+    TyVar, Var, church_string, compile_dfa, promote,
 )
 from ealc import reduction
-from ealc.reduction import _contract_child, trace
-from ealc.syntax import all_names, children, preorder, print_term, subst_term
+from ealc.reduction import _contract, _contract_child, trace
+from ealc.syntax import (
+    Fold, all_names, children, preorder, print_term, print_type, replace_child,
+    subst_term, subst_type, subst_type_in_term,
+)
 
 import match_reference as ref
 from corpus import EAL_CLOSED, MUEAL_CLOSED, REDUCIBLE, REFERENCE_DFAS
@@ -25,6 +30,62 @@ def _subterms():
 
 
 SUBTERMS = list(_subterms())
+POOL = {}  # one subterm of each class
+for _s in SUBTERMS:
+    POOL.setdefault(type(_s), _s)
+assert len(POOL) == 9
+
+
+def _types():
+    """Every type annotation of the corpus subterms and every type inside
+    one, each once."""
+    seen = set()
+    stack = [s.ty for s in SUBTERMS if type(s) in (Lam, BangLam, TyApp, Fold)
+             and s.ty is not None]
+    while stack:
+        ty = stack.pop()
+        if ty not in seen:
+            seen.add(ty)
+            yield ty
+            if type(ty) is Arrow:
+                stack += [ty.src, ty.dst]
+            elif type(ty) is not TyVar:
+                stack.append(ty.body)
+
+
+TYPES = list(_types())
+# the corpus's fixpoint types are closed, so quantify over its open types too
+TYPES += [q(v, ty) for ty in TYPES if type(ty) in (Arrow, Forall, Mu) and ty.ftv
+          for q in (Forall, Mu) for v in ("a", "b")]
+
+
+def _spines():
+    """Right-nested application spines of 300 letters: a Church string's
+    body, and one whose functions bind and mention the names substituted
+    for, with and without the substituted name at its end."""
+    body = church_string("".join("01"[i * i % 7 % 2] for i in range(300)))
+    yield body.body.body.body.body.body
+    fns = (Var("f"), Lam("y", None, App(Var("y"), Var("x"))),
+           App(Var("x"), Var("z")), BangLam("z", None, Var("x")))
+    for end in ("x", "z"):
+        t = Var(end)
+        for i in range(300):
+            t = App(fns[i % 4], t)
+        yield t
+
+
+def _type_binders(s):
+    """The type variables s binds, in a TyLam or inside an annotation."""
+    names = {n.var for _, _, n in preorder(s) if type(n) is TyLam}
+    for _, _, n in preorder(s):
+        ty = getattr(n, "ty", None)
+        stack = [] if ty is None else [ty]
+        while stack:
+            ty = stack.pop()
+            if type(ty) in (Forall, Mu):
+                names.add(ty.var)
+            stack += [getattr(ty, f) for f in ("src", "dst", "body") if hasattr(ty, f)]
+    return names
 
 
 def _capturing(s):
@@ -39,8 +100,25 @@ def _capturing(s):
     return u
 
 
+def _capturing_type(names):
+    """A type whose free variables are the given names."""
+    names = sorted(names) or ["a"]
+    ty = TyVar(names[0])
+    for name in names[1:]:
+        ty = Arrow(ty, TyVar(name))
+    return ty
+
+
+FIXED_TYPES = (TyVar("b"), Arrow(TyVar("a"), TyVar("b")),
+               Forall("c", Arrow(TyVar("c"), TyVar("a"))))
+
+
+def _binders(t):
+    return [getattr(n, "var", None) for _, _, n in preorder(t)]
+
+
 def _text(t):
-    return None if t is None else print_term(t)
+    return None if t is None else (print_term(t), _binders(t))
 
 
 def test_children_match_the_reference():
@@ -51,26 +129,71 @@ def test_children_match_the_reference():
 
 def test_subst_term_matches_the_reference():
     fixed = (Var("x"), App(Var("y"), Var("x")))
-    for s in SUBTERMS:
+    spines = list(_spines())
+    for s in SUBTERMS + spines:
         for u in fixed + (_capturing(s),):
             for x in sorted(s.fvs) + ["_absent"]:
                 new, old = subst_term(s, x, u), ref.subst_term(s, x, u)
                 assert (new is s) == (old is s), (print_term(s), x)
-                assert print_term(new) == print_term(old), (print_term(s), x)
+                assert _text(new) == _text(old), (print_term(s), x)
+    # the spines are substituted along their whole length
+    assert all(len(print_term(subst_term(s, "x", Var("y")))) > 1000 for s in spines)
+
+
+def test_subst_type_in_term_matches_the_reference():
+    for s in SUBTERMS:
+        for repl in FIXED_TYPES + (_capturing_type(_type_binders(s) | s.ftv),):
+            for a in sorted(s.ftv) + ["_absent"]:
+                new = subst_type_in_term(s, a, repl)
+                old = ref.subst_type_in_term(s, a, repl)
+                assert (new is s) == (old is s), (print_term(s), a)
+                assert _text(new) == _text(old), (print_term(s), a)
+
+
+def test_subst_type_matches_the_reference():
+    assert len(TYPES) > 50
+    binders = {n.var for n in TYPES if type(n) in (Forall, Mu)}
+    for ty in TYPES:
+        for repl in FIXED_TYPES + (_capturing_type(binders | ty.ftv),):
+            for a in sorted(ty.ftv) + ["_absent"]:
+                new, old = subst_type(ty, a, repl), ref.subst_type(ty, a, repl)
+                assert (new is ty) == (old is ty), (print_type(ty), a)
+                assert print_type(new) == print_type(old), (print_type(ty), a)
+                assert repr(new) == repr(old), (print_type(ty), a)
+
+
+def test_replace_child_matches_the_reference():
+    for p in SUBTERMS:
+        for i, kid in enumerate(children(p)):
+            for c in (kid, Var("_new"), POOL[App]):
+                new, old = replace_child(p, i, c), ref.replace_child(p, i, c)
+                assert type(new) is type(old) and new is not p
+                assert children(new)[i] is c
+                assert _text(new) == _text(old), (print_term(p), i)
 
 
 def test_contract_child_matches_the_reference():
     # every parent with each of its children and with one node of each class
     # in the child's place, so that every redex shape is formed
-    pool = {}
-    for s in SUBTERMS:
-        pool.setdefault(type(s), s)
-    assert len(pool) == 9
     for p in SUBTERMS:
         for i, kid in enumerate(children(p)):
-            for c in (kid, *pool.values()):
+            for c in (kid, *POOL.values()):
                 assert _text(_contract_child(p, i, c)) == \
                     _text(ref.contract_child(p, i, c)), (print_term(p), i)
+
+
+def test_contract_matches_the_reference():
+    # every subterm, and every parent with a node of each class in each
+    # child's place, contracted at the root
+    found = 0
+    for p in SUBTERMS:
+        terms = [p] + [ref.replace_child(p, i, c) for i in range(len(children(p)))
+                       for c in POOL.values()]
+        for t in terms:
+            new, old = _contract(t), ref.contract(t)
+            assert _text(new) == _text(old), print_term(t)
+            found += new is not None
+    assert found > 100
 
 
 def _steps(t):
@@ -86,8 +209,10 @@ def test_reduce_matches_the_reference_engine(monkeypatch):
             terms.append(App(plain, church_string(w)))
             terms.append(App(lifted, Bang(church_string(w))))
     new = [_steps(t) for t in terms]
+    monkeypatch.setattr(reduction, "_contract", ref.contract)
     monkeypatch.setattr(reduction, "_contract_child", ref.contract_child)
     monkeypatch.setattr(reduction, "children", ref.children)
+    monkeypatch.setattr(reduction, "replace_child", ref.replace_child)
     old = [_steps(t) for t in terms]
     assert new == old
     assert sum(map(len, new)) > 1000
@@ -95,11 +220,20 @@ def test_reduce_matches_the_reference_engine(monkeypatch):
 
 def test_non_terms_raise_type_error():
     class Fake:
-        fvs = frozenset({"x"})
+        fvs = ftv = frozenset({"x"})
     for fn in (subst_term, ref.subst_term):
         with pytest.raises(TypeError):
             fn(Fake(), "x", Var("y"))
+    for fn in (subst_type_in_term, ref.subst_type_in_term, subst_type, ref.subst_type):
+        with pytest.raises(TypeError):
+            fn(Fake(), "x", TyVar("a"))
     for fn in (children, ref.children):
         with pytest.raises(TypeError):
             fn(TyVar("a"))
-    assert _contract_child(TyVar("a"), 0, Var("x")) is None
+    for fn in (replace_child, ref.replace_child):
+        with pytest.raises(TypeError):
+            fn(TyVar("a"), 0, Var("x"))
+    for fn in (_contract_child, ref.contract_child):
+        assert fn(TyVar("a"), 0, Var("x")) is None
+    for fn in (_contract, ref.contract):
+        assert fn(TyVar("a")) is None and fn(Fake()) is None

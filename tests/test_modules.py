@@ -46,6 +46,25 @@ def test_term_walks_do_not_recurse():
     assert recursive == []
 
 
+def test_contraction_path_dispatches_on_type():
+    # The functions every contraction runs test type(t) with `is`, which
+    # costs less than a class-pattern `match`; test_dispatch.py compares
+    # them with the match versions they replaced.
+    path = {"syntax.py": {"children", "replace_child", "subst_term",
+                          "subst_type_in_term", "subst_type"},
+            "reduction.py": {"_contract", "_contract_child"}}
+    seen, matching = set(), []
+    for name, functions in path.items():
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in functions:
+                seen.add(node.name)
+                if any(isinstance(inner, ast.Match) for inner in ast.walk(node)):
+                    matching.append("%s:%s" % (name, node.name))
+    assert seen == set().union(*path.values())
+    assert matching == []
+
+
 def _names_used(node):
     for inner in ast.walk(node):
         if isinstance(inner, ast.Name):

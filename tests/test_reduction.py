@@ -1,19 +1,21 @@
 import itertools
 import random
+import sys
 
 import pytest
 
 from ealc import (
-    App, Bang, BangLam, Context, DecodeError, FuelExhausted, Lam,
-    Var, alpha_eq, bool_term, church_nat, church_string,
-    decode_church_nat, decode_church_string, decode_scott_string,
-    erase_annotations, is_normal, normalize, parse_term, print_term,
+    EAL, App, Arrow, Bang, BangLam, Context, DecodeError, FuelExhausted, Lam,
+    TyApp, TyLam, TyVar, Var, alpha_eq, bool_term, church_nat, church_string,
+    compile_dfa, decode_church_nat, decode_church_string, decode_scott_string,
+    erase_annotations, is_normal, normalize, parse_term, print_term, promote,
     read_bool, scott_string, step, typecheck,
 )
+from ealc.encode import str_ty
 from ealc.reduction import DEFAULT_FUEL, _contract, trace
 from ealc.syntax import Path, Term, children, replace_child
 
-from corpus import REDUCIBLE, PARITY
+from corpus import REDUCIBLE, PARITY, REFERENCE_DFAS
 
 
 def words(max_len):
@@ -240,6 +242,29 @@ def test_free_occurrence_depths_preserved_by_reduction():
                 depths2 = {d for _, d in occurrences(t2, y)}
                 assert depths2 <= depths, (y, depths, depths2)
                 t = t2
+
+
+def test_readers_on_a_long_word():
+    # Substitution walks a Church string's spine in a loop, so reading a
+    # decider's answer on a word of 10^4 letters stays within the default
+    # recursion limit.
+    assert sys.getrecursionlimit() == 1000
+    rng = random.Random(14)
+    w = "".join(rng.choice("01") for _ in range(10 ** 4))
+    div3 = next(d for name, d, _ in REFERENCE_DFAS if name == "div3")
+    plain = compile_dfa(div3)
+    lifted = promote(plain, 1, 1, EAL)
+    for v in (w, w[:-1] + "0", w[:-1] + "1"):
+        assert read_bool(App(plain, church_string(v))) is div3.run(v)
+    assert read_bool(App(lifted, Bang(church_string(w)))) is div3.run(w)
+    # \s. /\a. \!f0. \!f1. s [a] !f1 !f0 swaps the letters: normalizing it
+    # renames f1 and substitutes for f0 and f1 along the whole spine
+    a = TyVar("a")
+    swap = Lam("s", str_ty(), TyLam("a", BangLam("f0", Arrow(a, a), BangLam(
+        "f1", Arrow(a, a),
+        App(App(TyApp(Var("s"), a), Bang(Var("f1"))), Bang(Var("f0")))))))
+    flipped = w.translate(str.maketrans("01", "10"))
+    assert decode_church_string(App(swap, church_string(w))) == flipped
 
 
 def test_decode_church_nat():
