@@ -36,24 +36,20 @@ for _s in SUBTERMS:
 assert len(POOL) == 9
 
 
-def _types():
-    """Every type annotation of the corpus subterms and every type inside
-    one, each once."""
-    seen = set()
-    stack = [s.ty for s in SUBTERMS if type(s) in (Lam, BangLam, TyApp, Fold)
-             and s.ty is not None]
+def _types(s):
+    """Every type annotation in s and every type inside one."""
+    stack = [n.ty for _, _, n in preorder(s)
+             if type(n) in (Lam, BangLam, TyApp, Fold) and n.ty is not None]
     while stack:
         ty = stack.pop()
-        if ty not in seen:
-            seen.add(ty)
-            yield ty
-            if type(ty) is Arrow:
-                stack += [ty.src, ty.dst]
-            elif type(ty) is not TyVar:
-                stack.append(ty.body)
+        yield ty
+        if type(ty) is Arrow:
+            stack += [ty.src, ty.dst]
+        elif type(ty) is not TyVar:
+            stack.append(ty.body)
 
 
-TYPES = list(_types())
+TYPES = list(dict.fromkeys(ty for s in SUBTERMS for ty in _types(s)))
 # the corpus's fixpoint types are closed, so quantify over its open types too
 TYPES += [q(v, ty) for ty in TYPES if type(ty) in (Arrow, Forall, Mu) and ty.ftv
           for q in (Forall, Mu) for v in ("a", "b")]
@@ -76,16 +72,8 @@ def _spines():
 
 def _type_binders(s):
     """The type variables s binds, in a TyLam or inside an annotation."""
-    names = {n.var for _, _, n in preorder(s) if type(n) is TyLam}
-    for _, _, n in preorder(s):
-        ty = getattr(n, "ty", None)
-        stack = [] if ty is None else [ty]
-        while stack:
-            ty = stack.pop()
-            if type(ty) in (Forall, Mu):
-                names.add(ty.var)
-            stack += [getattr(ty, f) for f in ("src", "dst", "body") if hasattr(ty, f)]
-    return names
+    return ({n.var for _, _, n in preorder(s) if type(n) is TyLam}
+            | {ty.var for ty in _types(s) if type(ty) in (Forall, Mu)})
 
 
 def _capturing(s):
@@ -129,15 +117,12 @@ def test_children_match_the_reference():
 
 def test_subst_term_matches_the_reference():
     fixed = (Var("x"), App(Var("y"), Var("x")))
-    spines = list(_spines())
-    for s in SUBTERMS + spines:
+    for s in SUBTERMS + list(_spines()):
         for u in fixed + (_capturing(s),):
             for x in sorted(s.fvs) + ["_absent"]:
                 new, old = subst_term(s, x, u), ref.subst_term(s, x, u)
                 assert (new is s) == (old is s), (print_term(s), x)
                 assert _text(new) == _text(old), (print_term(s), x)
-    # the spines are substituted along their whole length
-    assert all(len(print_term(subst_term(s, "x", Var("y")))) > 1000 for s in spines)
 
 
 def test_subst_type_in_term_matches_the_reference():
