@@ -25,7 +25,6 @@ Nat, StrS, 1 and Mk (M2, M3, ...).
 from __future__ import annotations
 
 import re
-from array import array
 
 from .encode import BOOL, NAT, STR, STRS, monoid_ty, str_of
 from .syntax import (
@@ -43,42 +42,43 @@ class ParseError(Exception):
         self.col = col
 
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r\n]+|--[^\n]*)
-  | (?P<name>[a-zA-Z_][a-zA-Z0-9_']*)
-  | (?P<sym>/\\|-o|->|\\!|[\\.:!()\[\]<>,={}|]|0|1)
-""", re.VERBOSE)
-
+# The token grammar: identifiers and keywords, then the symbols.  One
+# pattern reads the whole text: whitespace and comments match with no
+# group, a token as group 1, and any other character as a one-character
+# group of its own, which _tokenize rejects.
+_TOKEN = r"[a-zA-Z_][a-zA-Z0-9_']*|/\\|-o|->|\\!|[\\.:!()\[\]<>,={}|01]"
+_TOKEN_RE = re.compile(r"[ \t\r\n]+|--[^\n]*|(%s|.)" % _TOKEN, re.DOTALL)
+_LEXEME_RE = re.compile(_TOKEN)
 _KEYWORDS = {"let", "in", "case", "of", "fold", "unfold", "forall", "mu"}
 
 
 def _tokenize(text):
-    """The tokens of text as three columns: kinds, lexemes and start
-    offsets, ending with an "eof" token at the end of the text."""
-    kinds, lexemes, starts = [], [], array("q")
-    shared = {}  # one string object per distinct lexeme
-    match = _TOKEN_RE.match
-    pos, end = 0, len(text)
-    while pos < end:
-        m = match(text, pos)
-        if not m:
-            raise ParseError("unexpected character %r" % text[pos], *_line_col(text, pos))
-        kind = m.lastgroup
-        if kind != "ws":
-            lexeme = m.group()
-            lexeme = shared.setdefault(lexeme, lexeme)
-            kinds.append("kw" if lexeme in _KEYWORDS else kind)
-            lexemes.append(lexeme)
-            starts.append(pos)
-        pos = m.end()
-    kinds.append("eof")
+    """The lexemes of text, ending with "" for the end of the text, and the
+    set of those that are identifiers (names that are not keywords)."""
+    lexemes = list(filter(None, _TOKEN_RE.findall(text)))
+    names, bad = set(), []
+    for lexeme in set(lexemes):
+        if not _LEXEME_RE.fullmatch(lexeme):
+            bad.append(lexeme)
+        elif (lexeme[0].isalpha() or lexeme[0] == "_") and lexeme not in _KEYWORDS:
+            names.add(lexeme)
+    if bad:
+        i = min(map(lexemes.index, bad))
+        raise ParseError("unexpected character %r" % lexemes[i], *_line_col(text, i))
     lexemes.append("")
-    starts.append(pos)
-    return kinds, lexemes, starts
+    return lexemes, names
 
 
-def _line_col(text, pos):
-    """The 1-based line and column of offset pos in text."""
+def _line_col(text, i):
+    """The 1-based line and column where lexeme i of text starts (the end
+    of the text for the final "")."""
+    pos = len(text)
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex:
+            if not i:
+                pos = m.start()
+                break
+            i -= 1
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
@@ -92,9 +92,10 @@ _MONOID_RE = re.compile(r"^M([1-9][0-9]*)$")
 class _Parser:
     def __init__(self, text):
         self.text = text
-        self.kinds, self.lexemes, self.starts = _tokenize(text)
+        self.lexemes, self.names = _tokenize(text)
         self.i = 0
         self.fresh = 0
+        self.types = {}  # annotation lexemes -> the one Type parsed from them
 
     def peek(self):
         """The current token's lexeme."""
@@ -106,7 +107,7 @@ class _Parser:
         return self.lexemes[self.i - 1]
 
     def err(self, msg):
-        line, col = _line_col(self.text, self.starts[self.i])
+        line, col = _line_col(self.text, self.i)
         raise ParseError("%s (at %r)" % (msg, self.peek() or "end of input"), line, col)
 
     def expect(self, lexeme):
@@ -117,15 +118,15 @@ class _Parser:
     def at(self, lexeme):
         return self.lexemes[self.i] == lexeme
 
-    def at_kind(self, kind):
-        return self.kinds[self.i] == kind
+    def at_end(self):
+        return self.i == len(self.lexemes) - 1
 
     def fresh_tyvar(self) -> Type:
         self.fresh += 1
         return TyVar("_T%d" % self.fresh)
 
     def ident(self):
-        if self.kinds[self.i] != "name":
+        if self.lexemes[self.i] not in self.names:
             self.err("expected an identifier")
         return self.next()
 
@@ -148,7 +149,7 @@ class _Parser:
         return left
 
     def type_atom(self) -> Type:
-        kind, lex = self.kinds[self.i], self.lexemes[self.i]
+        lex = self.lexemes[self.i]
         if lex == "!":
             self.next()
             return BangType(self.type_atom())
@@ -160,7 +161,7 @@ class _Parser:
         if lex == "1":
             self.next()
             return UNIT
-        if kind == "name":
+        if lex in self.names:
             self.next()
             if lex == "Str" and self.at("["):
                 self.next()
@@ -175,16 +176,24 @@ class _Parser:
             return TyVar(lex)
         self.err("expected a type")
 
+    def annotation(self) -> Type:
+        """A type written in a term.  Annotations with the same lexemes
+        share one Type object, which the type checker compares by identity
+        before it compares structure."""
+        i = self.i
+        ty = self.type_()
+        return self.types.setdefault(tuple(self.lexemes[i:self.i]), ty)
+
     def opt_annot(self) -> Type | None:
         if self.at(":"):
             self.next()
-            return self.type_()
+            return self.annotation()
         return None
 
     def bracket_annot(self) -> Type | None:
         if self.at("["):
             self.next()
-            t = self.type_()
+            t = self.annotation()
             self.expect("]")
             return t
         return None
@@ -274,13 +283,13 @@ class _Parser:
     def app(self) -> Term:
         t = self.prefix()
         while True:
-            kind, lex = self.kinds[self.i], self.lexemes[self.i]
+            lex = self.lexemes[self.i]
             if lex == "[":
                 self.next()
-                ty = self.type_()
+                ty = self.annotation()
                 self.expect("]")
                 t = TyApp(t, ty)
-            elif lex in ("(", "\\", "\\!", "/\\", "!") or kind == "name" \
+            elif lex in ("(", "\\", "\\!", "/\\", "!") or lex in self.names \
                     or lex in ("fold", "unfold", "<"):
                 t = App(t, self.prefix())
             else:
@@ -294,7 +303,7 @@ class _Parser:
         if lex == "fold":
             self.next()
             self.expect("[")
-            ty = self.type_()
+            ty = self.annotation()
             self.expect("]")
             return Fold(ty, self.prefix())
         if lex == "unfold":
@@ -303,7 +312,7 @@ class _Parser:
         return self.atom()
 
     def atom(self) -> Term:
-        kind, lex = self.kinds[self.i], self.lexemes[self.i]
+        lex = self.lexemes[self.i]
         if lex == "(":
             self.next()
             t = self.term()
@@ -321,7 +330,7 @@ class _Parser:
             f = fresh_name("_f", u.fvs | v.fvs)
             return TyLam(a, Lam(f, Arrow(uty, Arrow(vty, TyVar(a))),
                                 App(App(Var(f), u), v)))
-        if kind == "name" and lex not in ("fold", "unfold"):
+        if lex in self.names:
             self.next()
             return Var(lex)
         self.err("expected a term")
@@ -330,7 +339,7 @@ class _Parser:
 def parse_term(text: str) -> Term:
     p = _Parser(text)
     t = p.term()
-    if not p.at_kind("eof"):
+    if not p.at_end():
         p.err("trailing input")
     return t
 
@@ -338,6 +347,6 @@ def parse_term(text: str) -> Term:
 def parse_type(text: str) -> Type:
     p = _Parser(text)
     t = p.type_()
-    if not p.at_kind("eof"):
+    if not p.at_end():
         p.err("trailing input")
     return t

@@ -21,9 +21,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .syntax import (
-    App, Bang, BangLam, Fold, Lam, Term, TyApp, TyLam, TyVar, Unfold,
-    Var, children, erase_annotations, fresh_name, print_term, replace_child,
-    subst_term, subst_type_in_term,
+    App, Bang, BangLam, Fold, Lam, Term, TyApp, TyLam, Unfold, Var,
+    children, erase_annotations, print_term, replace_child, subst_term,
+    subst_type_in_term,
 )
 
 DEFAULT_FUEL = 10 ** 6
@@ -401,28 +401,24 @@ def decode_church_nat(t: Term, fuel: int = DEFAULT_FUEL) -> int:
     raise DecodeError("not a Church numeral: %s" % print_term(nf))
 
 
-def decode_scott_string(t: Term, fuel: int = DEFAULT_FUEL, max_len: int = 10 ** 4) -> str:
-    """Destruct a Scott string by applying it to tagging continuations.
+def decode_scott_string(t: Term, fuel: int = DEFAULT_FUEL) -> str:
+    """Read w off the normal form of a Scott string, computed once.
 
-    Each round builds (unfold t)[a] c0 c1 ce with fresh free variables as
-    tags; the head of the normal form tells us the first letter (or that
-    the string is empty) and hands back the suffix.
-    """
+    Each level of the normal form must be fold[T] (/\\a. \\f0. \\f1. \\x. b),
+    where b is x at the end of the string and f0 s or f1 s before the rest
+    s of it.  A name means the innermost of f0, f1 and x that it names, as
+    when the level is applied to three continuations."""
     letters = []
-    for _ in range(max_len):
-        avoid = t.fvs | {"a"}
-        c0 = fresh_name("_c0", avoid)
-        c1 = fresh_name("_c1", avoid)
-        ce = fresh_name("_ce", avoid)
-        probe = App(App(App(TyApp(Unfold(t), TyVar("a")), Var(c0)), Var(c1)), Var(ce))
-        nf = normalize(probe, fuel)
-        match nf:
-            case Var(z) if z == ce:
-                return "".join(letters)
-            case App(Var(z), rest) if z in (c0, c1):
-                letters.append("0" if z == c0 else "1")
-                t = rest
-            case _:
-                raise DecodeError("not a Scott string, head reduced to: %s"
-                                  % print_term(nf))
-    raise FuelExhausted(max_len)
+    s = normalize(t, fuel)
+    while True:
+        match s:
+            case Fold(_, TyLam(_, Lam(f0, _, Lam(f1, _, Lam(x, _, body))))):
+                arms = {f0: "0", f1: "1", x: ""}
+                match body:
+                    case Var(z) if arms.get(z) == "":
+                        return "".join(letters)
+                    case App(Var(z), rest) if arms.get(z):
+                        letters.append(arms[z])
+                        s = rest
+                        continue
+        raise DecodeError("not a Scott string: %s" % print_term(s))

@@ -23,7 +23,9 @@ class TypeStructureError(Exception):
 
 
 # Nodes are plain slotted classes.  Each __init__ stores the fields named
-# in __match_args__ and the node's free variables; nodes compare and hash
+# in __match_args__ and the node's free variables (a type also records
+# whether it contains a mu, for the type checker's gate in EAL mode, so the
+# gate costs one attribute read per annotation); nodes compare and hash
 # by identity and are never changed after construction.  App, Lam and
 # BangLam reuse a child's frozenset of free variables whenever theirs
 # equals it, so rebuilding a spine allocates no set per node.
@@ -41,7 +43,7 @@ def _node_repr(node) -> str:
 # Forall and Mu bodies must be strictly linear; the constructors enforce it.
 
 class Type:
-    __slots__ = ("ftv",)  # the free type variables
+    __slots__ = ("ftv", "mu")  # the free type variables; whether a Mu occurs
     __repr__ = _node_repr
 
     def __str__(self) -> str:
@@ -54,6 +56,7 @@ class TyVar(Type):
     def __init__(self, name: str):
         self.name = name
         self.ftv = frozenset((name,))
+        self.mu = False
 
 
 class Arrow(Type):
@@ -62,6 +65,7 @@ class Arrow(Type):
     def __init__(self, src: Type, dst: Type):
         self.src, self.dst = src, dst
         self.ftv = src.ftv | dst.ftv
+        self.mu = src.mu or dst.mu
 
 
 class BangType(Type):
@@ -70,6 +74,7 @@ class BangType(Type):
     def __init__(self, body: Type):
         self.body = body
         self.ftv = body.ftv
+        self.mu = body.mu
 
 
 class Forall(Type):
@@ -81,6 +86,7 @@ class Forall(Type):
                 "forall body must be strictly linear, got %s" % print_type(body))
         self.var, self.body = var, body
         self.ftv = body.ftv - {var}
+        self.mu = body.mu
 
 
 class Mu(Type):
@@ -92,6 +98,7 @@ class Mu(Type):
                 "mu body must be strictly linear, got %s" % print_type(body))
         self.var, self.body = var, body
         self.ftv = body.ftv - {var}
+        self.mu = True
 
 
 def is_strictly_linear(t: Type) -> bool:
@@ -104,21 +111,6 @@ def is_linear(t: Type) -> bool:
 
 def is_banged(t: Type) -> bool:
     return isinstance(t, BangType)
-
-
-def contains_mu(t: Type) -> bool:
-    match t:
-        case TyVar():
-            return False
-        case Arrow(src, dst):
-            return contains_mu(src) or contains_mu(dst)
-        case BangType(body):
-            return contains_mu(body)
-        case Forall(_, body):
-            return contains_mu(body)
-        case Mu():
-            return True
-    raise TypeError(t)
 
 
 # The unit abbreviation 1 = forall a. a -o a.  Kept recognizable (is_unit)
@@ -447,19 +439,45 @@ def type_alpha_eq(s: Type, t: Type) -> bool:
 
 
 def _ty_aeq(s, t, envl, envr, depth):
-    match s, t:
-        case TyVar(a), TyVar(b):
-            la, lb = envl.get(a), envr.get(b)
-            return la == lb if (la is not None or lb is not None) else a == b
-        case Arrow(s1, s2), Arrow(t1, t2):
-            return _ty_aeq(s1, t1, envl, envr, depth) and _ty_aeq(s2, t2, envl, envr, depth)
-        case BangType(s1), BangType(t1):
-            return _ty_aeq(s1, t1, envl, envr, depth)
-        case Forall(a, s1), Forall(b, t1):
-            return _ty_aeq(s1, t1, {**envl, a: depth}, {**envr, b: depth}, depth + 1)
-        case Mu(a, s1), Mu(b, t1):
-            return _ty_aeq(s1, t1, {**envl, a: depth}, {**envr, b: depth}, depth + 1)
+    """Whether s and t are alpha-equal, where envl and envr map each type
+    variable bound around s and t to the depth of its binder.  A binder
+    extends both dicts and restores them when its body is done."""
+    if s is t and isinstance(s, Type):
+        # one subtree: equal iff its free variables name the same binders
+        for a in s.ftv:
+            if envl.get(a) != envr.get(a):
+                return False
+        return True
+    cls = type(s)
+    if type(t) is not cls:
+        return False
+    if cls is Arrow:
+        return (_ty_aeq(s.src, t.src, envl, envr, depth)
+                and _ty_aeq(s.dst, t.dst, envl, envr, depth))
+    if cls is TyVar:
+        a, b = s.name, t.name
+        la, lb = envl.get(a), envr.get(b)
+        return la == lb if (la is not None or lb is not None) else a == b
+    if cls is BangType:
+        return _ty_aeq(s.body, t.body, envl, envr, depth)
+    if cls is Forall or cls is Mu:
+        a, b = s.var, t.var
+        outer_a, outer_b = envl.get(a), envr.get(b)
+        envl[a] = envr[b] = depth
+        eq = _ty_aeq(s.body, t.body, envl, envr, depth + 1)
+        unbind(envl, a, outer_a)
+        unbind(envr, b, outer_b)
+        return eq
     return False
+
+
+def unbind(env: dict, name: str, outer) -> None:
+    """End a binder's scope in env: give name back its entry outside the
+    binder, outer, or remove it when outer is None."""
+    if outer is None:
+        del env[name]
+    else:
+        env[name] = outer
 
 
 def alpha_eq(s: Term, t: Term) -> bool:

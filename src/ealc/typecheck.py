@@ -7,10 +7,12 @@ Judgements have a context split into three disjoint zones:
 gamma holds linear variables (used at most once, at depth 0), delta holds
 banged variables (usable only inside a bang, one level down), theta holds
 temporary variables introduced when a bang body is checked.  One environment
-maps each name to its zone and type.  A premise that typechecks uses exactly
-the gamma variables among its free variables, so affine splitting of gamma
-across an application is a disjointness check on free variables; delta and
-theta are shared between the two premises.
+maps each name to its zone and type; a binder rebinds its name in place and
+restores the outer entry once its body is checked.  A premise that typechecks
+uses exactly the gamma variables among its free variables, so affine
+splitting of gamma across an application is a disjointness check on free
+variables; delta and theta are shared between the two premises.  The path of
+a failing subterm is assembled only once a check fails.
 
 Checking is purely synthesizing: annotations make the type of every term
 unique, and an expected type is only compared (up to alpha) at the root.
@@ -20,9 +22,9 @@ from __future__ import annotations
 
 from .syntax import (
     App, Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu, Path, Term,
-    Type, TyApp, TyLam, TyVar, Unfold, Var, contains_mu, fresh_name,
+    Type, TyApp, TyLam, TyVar, Unfold, Var, fresh_name,
     is_banged, is_linear, is_strictly_linear, print_type, subst_type,
-    subst_type_in_term, type_alpha_eq,
+    subst_type_in_term, type_alpha_eq, unbind,
 )
 
 EAL = "eal"
@@ -96,7 +98,10 @@ def typecheck(mode: str, ctx: Context, t: Term) -> Type:
     ctx.validate()
     zones = {LINEAR: ctx.gamma, BANG_BOUND: ctx.delta, TEMPORARY: ctx.theta}
     env = {x: (zone, ty) for zone, m in zones.items() for x, ty in m.items()}
-    return _infer(mode, env, t, ())
+    try:
+        return _infer(mode, env, t)
+    except _Failure as e:
+        raise TypeCheckError(e.kind, tuple(reversed(e.rpath)), e.message) from None
 
 
 def typecheck_closed(mode: str, t: Term, expected: Type | None = None) -> Type:
@@ -107,152 +112,203 @@ def typecheck_closed(mode: str, t: Term, expected: Type | None = None) -> Type:
     return ty
 
 
-def _gate_mu(mode, ty, path):
-    if mode == EAL and contains_mu(ty):
-        raise TypeCheckError(MU_IN_EAL, path,
-                             "type %s uses mu outside mueal mode" % print_type(ty))
+class _Failure(Exception):
+    """A TypeCheckError on its way up to typecheck, which adds the path.
+    Each _infer frame it leaves appends the index of the child it came
+    from, so rpath is the failing node's path reversed; no path is built
+    while checking succeeds."""
+
+    def __init__(self, kind, message, rpath=None):
+        super().__init__(kind, message)
+        self.kind, self.message = kind, message
+        self.rpath = [] if rpath is None else rpath
 
 
-def _infer(mode, env, t, path):
-    """Return the type of t; env maps each name in scope to (zone, type)."""
-    match t:
-        #                                    -----------------------
-        # variable rules                     G, x:A | D | H |- x : A
-        #                                    G | D | H, x:T |- x : T
-        case Var(x):
-            if x not in env:
-                raise TypeCheckError(UNBOUND, path, "unbound variable %s" % x)
-            zone, ty = env[x]
-            if zone == BANG_BOUND:
-                raise TypeCheckError(
-                    ZONE_MISUSE, path,
-                    "%s is bang-bound; it can only be used inside a !(...) body" % x)
-            return ty
+def _gate_mu(mode, ty):
+    if mode == EAL and ty.mu:
+        raise _Failure(MU_IN_EAL, "type %s uses mu outside mueal mode" % print_type(ty))
 
-        #                      G, x:A | D | H |- t : T
-        # linear abstraction   -------------------------
-        #                      G | D | H |- \x:A. t : A -o T
-        case Lam(x, ann, body):
-            if ann is None:
-                raise TypeCheckError(CLASS_VIOLATION, path,
-                                     "binder %s needs a type annotation" % x)
-            _gate_mu(mode, ann, path)
-            if not is_linear(ann):
-                raise TypeCheckError(
-                    CLASS_VIOLATION, path,
-                    "linear abstraction over non-linear type %s" % print_type(ann))
-            return Arrow(ann, _infer(mode, {**env, x: (LINEAR, ann)}, body, path + (0,)))
 
-        #                      G | D, x:!S | H |- t : T
-        # bang abstraction     -------------------------
-        #                      G | D | H |- \!x:S. t : !S -o T
-        case BangLam(x, ann, body):
-            if ann is None:
-                raise TypeCheckError(CLASS_VIOLATION, path,
-                                     "binder %s needs a type annotation" % x)
-            _gate_mu(mode, ann, path)
-            ty = _infer(mode, {**env, x: (BANG_BOUND, BangType(ann))}, body, path + (0,))
-            return Arrow(BangType(ann), ty)
+def _infer(mode, env, t):
+    """Return the type of t; env maps each name in scope to (zone, type).
 
-        #               G | D | H |- t : S -o T    G' | D | H |- u : S
-        # application   ----------------------------------------------
-        #               G + G' | D | H |- t u : T      (G, G' disjoint)
-        case App(fn, arg):
-            fn_ty = _infer(mode, env, fn, path + (0,))
-            if not isinstance(fn_ty, Arrow):
-                raise TypeCheckError(
-                    MISMATCH, path + (0,),
-                    "applied term has type %s, not an arrow" % print_type(fn_ty))
-            arg_ty = _infer(mode, env, arg, path + (1,))
-            # both premises typecheck, so their linear names are the
-            # linear names among their free variables
+    A binder rebinds its name in env for the body and restores the outer
+    entry afterwards.  When a premise fails, the env is left as it was at
+    the failure: typecheck drops it."""
+    cls = type(t)
+
+    #                      G, x:A | D | H |- t : T
+    # linear abstraction   -------------------------
+    #                      G | D | H |- \x:A. t : A -o T
+    if cls is Lam:
+        x, ann = t.var, t.ty
+        if ann is None:
+            raise _Failure(CLASS_VIOLATION, "binder %s needs a type annotation" % x)
+        _gate_mu(mode, ann)
+        if not is_linear(ann):
+            raise _Failure(CLASS_VIOLATION,
+                           "linear abstraction over non-linear type %s" % print_type(ann))
+        outer = env.get(x)
+        env[x] = (LINEAR, ann)
+        try:
+            ty = _infer(mode, env, t.body)
+        except _Failure as e:
+            e.rpath.append(0)
+            raise
+        unbind(env, x, outer)
+        return Arrow(ann, ty)
+
+    #               G | D | H |- t : S -o T    G' | D | H |- u : S
+    # application   ----------------------------------------------
+    #               G + G' | D | H |- t u : T      (G, G' disjoint)
+    if cls is App:
+        fn, arg = t.fn, t.arg
+        try:
+            fn_ty = _infer(mode, env, fn)
+        except _Failure as e:
+            e.rpath.append(0)
+            raise
+        if type(fn_ty) is not Arrow:
+            raise _Failure(MISMATCH, "applied term has type %s, not an arrow"
+                           % print_type(fn_ty), [0])
+        try:
+            arg_ty = _infer(mode, env, arg)
+        except _Failure as e:
+            e.rpath.append(1)
+            raise
+        # both premises typecheck, so their linear names are the linear
+        # names among their free variables
+        if not fn.fvs.isdisjoint(arg.fvs):
             shared = sorted(x for x in fn.fvs & arg.fvs if env[x][0] == LINEAR)
             if shared:
-                raise TypeCheckError(
-                    NONLINEAR, path,
-                    "linear variable%s %s used in both function and argument"
+                raise _Failure(
+                    NONLINEAR, "linear variable%s %s used in both function and argument"
                     % ("s" if len(shared) > 1 else "", ", ".join(shared)))
-            if not type_alpha_eq(fn_ty.src, arg_ty):
-                raise TypeCheckError(
-                    MISMATCH, path + (1,),
-                    "argument has type %s, expected %s"
-                    % (print_type(arg_ty), print_type(fn_ty.src)))
-            return fn_ty.dst
+        if not type_alpha_eq(fn_ty.src, arg_ty):
+            raise _Failure(MISMATCH, "argument has type %s, expected %s"
+                           % (print_type(arg_ty), print_type(fn_ty.src)), [1])
+        return fn_ty.dst
 
-        #             0 | 0 | H |- t : S
-        # promotion   ----------------------------     (fv(t) demoted from D)
-        #             G | !H, D | H' |- !t : !S
-        case Bang(body):
-            demoted = {}
-            for x in sorted(body.fvs):
-                zone, ty = env.get(x, ("unbound", None))
-                if zone != BANG_BOUND:
-                    raise TypeCheckError(
-                        BANG_ESCAPE, path,
-                        "free variable %s of a bang body is %s, not bang-bound" % (x, zone))
-                demoted[x] = (TEMPORARY, ty.body)
-            return BangType(_infer(mode, demoted, body, path + (0,)))
+    #                                    -----------------------
+    # variable rules                     G, x:A | D | H |- x : A
+    #                                    G | D | H, x:T |- x : T
+    if cls is Var:
+        x = t.name
+        entry = env.get(x)
+        if entry is None:
+            raise _Failure(UNBOUND, "unbound variable %s" % x)
+        if entry[0] == BANG_BOUND:
+            raise _Failure(
+                ZONE_MISUSE, "%s is bang-bound; it can only be used inside a !(...) body" % x)
+        return entry[1]
 
-        #                    G | D | H |- t : S      (a not free in G, D, H;
-        # quantifier intro   ------------------------   S strictly linear)
-        #                    G | D | H |- /\a. t : forall a. S
-        case TyLam(a, body):
-            # The side condition is about the variable, not its name: when
-            # the binder collides with a type variable of the context we
-            # alpha-rename it, so only genuine capture is rejected (by the
-            # strict-linearity check on the synthesized body type below).
+    #                      G | D, x:!S | H |- t : T
+    # bang abstraction     -------------------------
+    #                      G | D | H |- \!x:S. t : !S -o T
+    if cls is BangLam:
+        x, ann = t.var, t.ty
+        if ann is None:
+            raise _Failure(CLASS_VIOLATION, "binder %s needs a type annotation" % x)
+        _gate_mu(mode, ann)
+        banged = BangType(ann)
+        outer = env.get(x)
+        env[x] = (BANG_BOUND, banged)
+        try:
+            ty = _infer(mode, env, t.body)
+        except _Failure as e:
+            e.rpath.append(0)
+            raise
+        unbind(env, x, outer)
+        return Arrow(banged, ty)
+
+    #             0 | 0 | H |- t : S
+    # promotion   ----------------------------     (fv(t) demoted from D)
+    #             G | !H, D | H' |- !t : !S
+    if cls is Bang:
+        body = t.body
+        demoted = {}
+        for x in sorted(body.fvs):
+            zone, ty = env.get(x, ("unbound", None))
+            if zone != BANG_BOUND:
+                raise _Failure(BANG_ESCAPE, "free variable %s of a bang body is %s, "
+                               "not bang-bound" % (x, zone))
+            demoted[x] = (TEMPORARY, ty.body)
+        try:
+            return BangType(_infer(mode, demoted, body))
+        except _Failure as e:
+            e.rpath.append(0)
+            raise
+
+    #                    G | D | H |- t : S      (a not free in G, D, H;
+    # quantifier intro   ------------------------   S strictly linear)
+    #                    G | D | H |- /\a. t : forall a. S
+    if cls is TyLam:
+        # The side condition is about the variable, not its name: when
+        # the binder collides with a type variable of the context we
+        # alpha-rename it, so only genuine capture is rejected (by the
+        # strict-linearity check on the synthesized body type below).
+        a, body = t.var, t.body
+        if any(a in ty.ftv for _, ty in env.values()):
             ctx_ftv = frozenset().union(*(ty.ftv for _, ty in env.values()))
-            if a in ctx_ftv:
-                a2 = fresh_name(a, ctx_ftv | body.ftv)
-                body = subst_type_in_term(body, a, TyVar(a2))
-                a = a2
-            ty = _infer(mode, env, body, path + (0,))
-            if not is_strictly_linear(ty):
-                raise TypeCheckError(
-                    CLASS_VIOLATION, path,
-                    "cannot quantify over body of type %s (not strictly linear)"
-                    % print_type(ty))
-            return Forall(a, ty)
+            a2 = fresh_name(a, ctx_ftv | body.ftv)
+            body = subst_type_in_term(body, a, TyVar(a2))
+            a = a2
+        try:
+            ty = _infer(mode, env, body)
+        except _Failure as e:
+            e.rpath.append(0)
+            raise
+        if not is_strictly_linear(ty):
+            raise _Failure(CLASS_VIOLATION, "cannot quantify over body of type %s "
+                           "(not strictly linear)" % print_type(ty))
+        return Forall(a, ty)
 
-        #                    G | D | H |- t : forall a. S
-        # quantifier elim    ------------------------------  (A linear)
-        #                    G | D | H |- t [A] : S{a := A}
-        case TyApp(fn, ann):
-            _gate_mu(mode, ann, path)
-            if not is_linear(ann):
-                raise TypeCheckError(
-                    FORALL_NOT_LINEAR, path,
-                    "quantifiers can only be instantiated at linear types, got %s"
-                    % print_type(ann))
-            fn_ty = _infer(mode, env, fn, path + (0,))
-            if not isinstance(fn_ty, Forall):
-                raise TypeCheckError(
-                    MISMATCH, path + (0,),
-                    "type application to a term of type %s" % print_type(fn_ty))
-            return subst_type(fn_ty.body, fn_ty.var, ann)
+    #                    G | D | H |- t : forall a. S
+    # quantifier elim    ------------------------------  (A linear)
+    #                    G | D | H |- t [A] : S{a := A}
+    if cls is TyApp:
+        ann = t.ty
+        _gate_mu(mode, ann)
+        if not is_linear(ann):
+            raise _Failure(FORALL_NOT_LINEAR, "quantifiers can only be instantiated "
+                           "at linear types, got %s" % print_type(ann))
+        try:
+            fn_ty = _infer(mode, env, t.fn)
+        except _Failure as e:
+            e.rpath.append(0)
+            raise
+        if type(fn_ty) is not Forall:
+            raise _Failure(MISMATCH, "type application to a term of type %s"
+                           % print_type(fn_ty), [0])
+        return subst_type(fn_ty.body, fn_ty.var, ann)
 
-        # mu-fold / mu-unfold (mueal only)
-        case Fold(ann, body):
-            if mode == EAL:
-                raise TypeCheckError(MU_IN_EAL, path, "fold outside mueal mode")
-            if not isinstance(ann, Mu):
-                raise TypeCheckError(
-                    MISMATCH, path, "fold annotation %s is not a mu type" % print_type(ann))
-            unrolled = subst_type(ann.body, ann.var, ann)
-            ty = _infer(mode, env, body, path + (0,))
-            if not type_alpha_eq(ty, unrolled):
-                raise TypeCheckError(
-                    MISMATCH, path,
-                    "fold body has type %s, expected %s" % (print_type(ty), print_type(unrolled)))
-            return ann
-        case Unfold(body):
-            if mode == EAL:
-                raise TypeCheckError(MU_IN_EAL, path, "unfold outside mueal mode")
-            ty = _infer(mode, env, body, path + (0,))
-            if not isinstance(ty, Mu):
-                raise TypeCheckError(
-                    MISMATCH, path + (0,),
-                    "unfold of a term of type %s" % print_type(ty))
-            return subst_type(ty.body, ty.var, ty)
+    # mu-fold / mu-unfold (mueal only)
+    if cls is Fold:
+        ann = t.ty
+        if mode == EAL:
+            raise _Failure(MU_IN_EAL, "fold outside mueal mode")
+        if type(ann) is not Mu:
+            raise _Failure(MISMATCH, "fold annotation %s is not a mu type" % print_type(ann))
+        unrolled = subst_type(ann.body, ann.var, ann)
+        try:
+            ty = _infer(mode, env, t.body)
+        except _Failure as e:
+            e.rpath.append(0)
+            raise
+        if not type_alpha_eq(ty, unrolled):
+            raise _Failure(MISMATCH, "fold body has type %s, expected %s"
+                           % (print_type(ty), print_type(unrolled)))
+        return ann
+    if cls is Unfold:
+        if mode == EAL:
+            raise _Failure(MU_IN_EAL, "unfold outside mueal mode")
+        try:
+            ty = _infer(mode, env, t.body)
+        except _Failure as e:
+            e.rpath.append(0)
+            raise
+        if type(ty) is not Mu:
+            raise _Failure(MISMATCH, "unfold of a term of type %s" % print_type(ty), [0])
+        return subst_type(ty.body, ty.var, ty)
 
     raise TypeError("not a term: %r" % (t,))

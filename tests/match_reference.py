@@ -1,13 +1,19 @@
-"""Reference copies of the functions of the contraction path, written
-with class-pattern `match` as the library had them before it dispatched on
-type(t).  test_dispatch.py compares the library against them.  Each copy
-calls the other copies, never the library's versions."""
+"""Reference copies of the functions of the contraction path and of the
+type checker, written with class-pattern `match` as the library had them
+before it dispatched on type(t).  test_dispatch.py compares the library
+against them.  Each copy calls the other copies, never the library's
+versions."""
 
 from __future__ import annotations
 
 from ealc.syntax import (
     App, Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu, TyApp, TyLam,
-    TyVar, Unfold, Var, fresh_name,
+    TyVar, Unfold, Var, fresh_name, is_linear, is_strictly_linear, print_type,
+)
+from ealc.typecheck import (
+    BANG_BOUND, BANG_ESCAPE, CLASS_VIOLATION, EAL, FORALL_NOT_LINEAR, LINEAR,
+    MISMATCH, MU_IN_EAL, NONLINEAR, TEMPORARY, UNBOUND, ZONE_MISUSE,
+    TypeCheckError,
 )
 
 
@@ -169,3 +175,163 @@ def contract(t):
         case App(f, _) | TyApp(f, _) | Unfold(f):
             return contract_child(t, 0, f)
     return None
+
+
+# -- the type checker ------------------------------------------------------------
+
+def contains_mu(t):
+    match t:
+        case TyVar():
+            return False
+        case Arrow(src, dst):
+            return contains_mu(src) or contains_mu(dst)
+        case BangType(body):
+            return contains_mu(body)
+        case Forall(_, body):
+            return contains_mu(body)
+        case Mu():
+            return True
+    raise TypeError(t)
+
+
+def type_alpha_eq(s, t):
+    return _ty_aeq(s, t, {}, {}, 0)
+
+
+def _ty_aeq(s, t, envl, envr, depth):
+    match s, t:
+        case TyVar(a), TyVar(b):
+            la, lb = envl.get(a), envr.get(b)
+            return la == lb if (la is not None or lb is not None) else a == b
+        case Arrow(s1, s2), Arrow(t1, t2):
+            return _ty_aeq(s1, t1, envl, envr, depth) and _ty_aeq(s2, t2, envl, envr, depth)
+        case BangType(s1), BangType(t1):
+            return _ty_aeq(s1, t1, envl, envr, depth)
+        case Forall(a, s1), Forall(b, t1):
+            return _ty_aeq(s1, t1, {**envl, a: depth}, {**envr, b: depth}, depth + 1)
+        case Mu(a, s1), Mu(b, t1):
+            return _ty_aeq(s1, t1, {**envl, a: depth}, {**envr, b: depth}, depth + 1)
+    return False
+
+
+def _gate_mu(mode, ty, path):
+    if mode == EAL and contains_mu(ty):
+        raise TypeCheckError(MU_IN_EAL, path,
+                             "type %s uses mu outside mueal mode" % print_type(ty))
+
+
+def _infer(mode, env, t, path=()):
+    """The type of t; env maps each name in scope to (zone, type)."""
+    match t:
+        case Var(x):
+            if x not in env:
+                raise TypeCheckError(UNBOUND, path, "unbound variable %s" % x)
+            zone, ty = env[x]
+            if zone == BANG_BOUND:
+                raise TypeCheckError(
+                    ZONE_MISUSE, path,
+                    "%s is bang-bound; it can only be used inside a !(...) body" % x)
+            return ty
+
+        case Lam(x, ann, body):
+            if ann is None:
+                raise TypeCheckError(CLASS_VIOLATION, path,
+                                     "binder %s needs a type annotation" % x)
+            _gate_mu(mode, ann, path)
+            if not is_linear(ann):
+                raise TypeCheckError(
+                    CLASS_VIOLATION, path,
+                    "linear abstraction over non-linear type %s" % print_type(ann))
+            return Arrow(ann, _infer(mode, {**env, x: (LINEAR, ann)}, body, path + (0,)))
+
+        case BangLam(x, ann, body):
+            if ann is None:
+                raise TypeCheckError(CLASS_VIOLATION, path,
+                                     "binder %s needs a type annotation" % x)
+            _gate_mu(mode, ann, path)
+            ty = _infer(mode, {**env, x: (BANG_BOUND, BangType(ann))}, body, path + (0,))
+            return Arrow(BangType(ann), ty)
+
+        case App(fn, arg):
+            fn_ty = _infer(mode, env, fn, path + (0,))
+            if not isinstance(fn_ty, Arrow):
+                raise TypeCheckError(
+                    MISMATCH, path + (0,),
+                    "applied term has type %s, not an arrow" % print_type(fn_ty))
+            arg_ty = _infer(mode, env, arg, path + (1,))
+            shared = sorted(x for x in fn.fvs & arg.fvs if env[x][0] == LINEAR)
+            if shared:
+                raise TypeCheckError(
+                    NONLINEAR, path,
+                    "linear variable%s %s used in both function and argument"
+                    % ("s" if len(shared) > 1 else "", ", ".join(shared)))
+            if not type_alpha_eq(fn_ty.src, arg_ty):
+                raise TypeCheckError(
+                    MISMATCH, path + (1,),
+                    "argument has type %s, expected %s"
+                    % (print_type(arg_ty), print_type(fn_ty.src)))
+            return fn_ty.dst
+
+        case Bang(body):
+            demoted = {}
+            for x in sorted(body.fvs):
+                zone, ty = env.get(x, ("unbound", None))
+                if zone != BANG_BOUND:
+                    raise TypeCheckError(
+                        BANG_ESCAPE, path,
+                        "free variable %s of a bang body is %s, not bang-bound" % (x, zone))
+                demoted[x] = (TEMPORARY, ty.body)
+            return BangType(_infer(mode, demoted, body, path + (0,)))
+
+        case TyLam(a, body):
+            ctx_ftv = frozenset().union(*(ty.ftv for _, ty in env.values()))
+            if a in ctx_ftv:
+                a2 = fresh_name(a, ctx_ftv | body.ftv)
+                body = subst_type_in_term(body, a, TyVar(a2))
+                a = a2
+            ty = _infer(mode, env, body, path + (0,))
+            if not is_strictly_linear(ty):
+                raise TypeCheckError(
+                    CLASS_VIOLATION, path,
+                    "cannot quantify over body of type %s (not strictly linear)"
+                    % print_type(ty))
+            return Forall(a, ty)
+
+        case TyApp(fn, ann):
+            _gate_mu(mode, ann, path)
+            if not is_linear(ann):
+                raise TypeCheckError(
+                    FORALL_NOT_LINEAR, path,
+                    "quantifiers can only be instantiated at linear types, got %s"
+                    % print_type(ann))
+            fn_ty = _infer(mode, env, fn, path + (0,))
+            if not isinstance(fn_ty, Forall):
+                raise TypeCheckError(
+                    MISMATCH, path + (0,),
+                    "type application to a term of type %s" % print_type(fn_ty))
+            return subst_type(fn_ty.body, fn_ty.var, ann)
+
+        case Fold(ann, body):
+            if mode == EAL:
+                raise TypeCheckError(MU_IN_EAL, path, "fold outside mueal mode")
+            if not isinstance(ann, Mu):
+                raise TypeCheckError(
+                    MISMATCH, path, "fold annotation %s is not a mu type" % print_type(ann))
+            unrolled = subst_type(ann.body, ann.var, ann)
+            ty = _infer(mode, env, body, path + (0,))
+            if not type_alpha_eq(ty, unrolled):
+                raise TypeCheckError(
+                    MISMATCH, path,
+                    "fold body has type %s, expected %s" % (print_type(ty), print_type(unrolled)))
+            return ann
+        case Unfold(body):
+            if mode == EAL:
+                raise TypeCheckError(MU_IN_EAL, path, "unfold outside mueal mode")
+            ty = _infer(mode, env, body, path + (0,))
+            if not isinstance(ty, Mu):
+                raise TypeCheckError(
+                    MISMATCH, path + (0,),
+                    "unfold of a term of type %s" % print_type(ty))
+            return subst_type(ty.body, ty.var, ty)
+
+    raise TypeError("not a term: %r" % (t,))

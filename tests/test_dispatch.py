@@ -1,13 +1,19 @@
-"""The contraction path dispatches on type(t); match_reference.py keeps the
-class-pattern versions it replaced.  Both must build the same terms, binder
-names included, so results are compared by their printed text and their
-binder names."""
+"""The contraction path and the type checker dispatch on type(t);
+match_reference.py keeps the class-pattern versions they replaced.  Both
+must build the same terms, binder names included, so results are compared
+by their printed text and their binder names; the checkers must synthesize
+alpha-equal types or raise the same error."""
+
+import collections
+import random
 
 import pytest
 
 from ealc import (
-    EAL, App, Arrow, Bang, BangLam, BangType, Forall, Lam, Mu, TyApp, TyLam,
-    TyVar, Var, church_string, compile_dfa, promote,
+    BOOL, EAL, MUEAL, STRS, App, Arrow, Bang, BangLam, BangType, Context,
+    Forall, Lam, Mu, TyApp, TyLam, TyVar, TypeCheckError, Var, church_string,
+    compile_dfa, parse_term, parse_type, promote, scott_string, type_alpha_eq,
+    typecheck,
 )
 from ealc import reduction
 from ealc.reduction import _contract, _contract_child, trace
@@ -15,9 +21,13 @@ from ealc.syntax import (
     Fold, all_names, children, preorder, print_term, print_type, replace_child,
     subst_term, subst_type, subst_type_in_term,
 )
+from ealc.typecheck import BANG_BOUND, LINEAR, TEMPORARY
 
 import match_reference as ref
-from corpus import EAL_CLOSED, MUEAL_CLOSED, REDUCIBLE, REFERENCE_DFAS
+from corpus import (
+    EAL_CLOSED, MUEAL_CLOSED, OPEN_TYPED, REDUCIBLE, REFERENCE_DFAS, not_term,
+)
+from test_typecheck import ERROR_TEXT
 
 
 def _subterms():
@@ -222,3 +232,112 @@ def test_non_terms_raise_type_error():
         assert fn(TyVar("a"), 0, Var("x")) is None
     for fn in (_contract, ref.contract):
         assert fn(TyVar("a")) is None and fn(Fake()) is None
+
+
+# -- the type checker ------------------------------------------------------------
+
+def test_mu_flag_matches_the_reference():
+    types = TYPES + [BangType(ty) for ty in TYPES]
+    assert {ty.mu for ty in types} == {False, True}
+    for ty in types:
+        assert ty.mu == ref.contains_mu(ty), print_type(ty)
+
+
+def test_type_alpha_eq_matches_the_reference():
+    # Each type against a rebuilt copy of it, against the types that
+    # quantify over its very object (the shortcut for identical subtrees
+    # must see where their free variables are bound), and against a seeded
+    # sample of the others.
+    rng = random.Random(16)
+    equal = 0
+    for ty in TYPES:
+        group = [ty, parse_type(print_type(ty))]
+        if type(ty) in (Arrow, Forall, Mu):
+            group += [Forall(a, ty) for a in sorted(ty.ftv) + ["_fresh"]]
+        for s in group:
+            for t in group + rng.sample(TYPES, 8):
+                new, old = type_alpha_eq(s, t), ref.type_alpha_eq(s, t)
+                assert new == old, (print_type(s), print_type(t))
+                equal += new
+    assert equal > 2 * len(TYPES)
+
+
+def _outcome(check):
+    try:
+        return check()
+    except TypeCheckError as e:
+        return (e.kind, e.path, e.message)
+
+
+def _checked(mode, ctx, t):
+    """Check t with the library and with the reference, which must agree;
+    return "typed" or the error's kind."""
+    env = {x: (zone, ty) for zone, m in ((LINEAR, ctx.gamma), (BANG_BOUND, ctx.delta),
+                                        (TEMPORARY, ctx.theta)) for x, ty in m.items()}
+    new = _outcome(lambda: typecheck(mode, ctx, t))
+    old = _outcome(lambda: ref._infer(mode, env, t))
+    if type(new) is tuple or type(old) is tuple:
+        assert new == old, print_term(t)
+        return new[0]
+    assert ref.type_alpha_eq(new, old), print_term(t)
+    return "typed"
+
+
+ILL_TYPED = [(mode, ctx, parse_term(src)) for mode, ctx, src, _ in ERROR_TEXT] + [
+    (EAL, Context(), TyApp(TyLam("a", Lam("x", TyVar("a"), Var("x"))), BangType(BOOL))),
+    (EAL, Context(), Lam("x", BangType(BOOL), Var("x"))),
+    (EAL, Context(), Lam("x", BOOL, Bang(Var("x")))),
+    (EAL, Context(), scott_string("01")),
+    (EAL, Context(), App(not_term(), church_string("0"))),
+]
+
+
+def test_checker_matches_the_reference_on_the_corpus():
+    for _, term, _ in EAL_CLOSED:
+        assert _checked(EAL, Context(), term) == _checked(MUEAL, Context(), term) == "typed"
+    for _, term, _ in MUEAL_CLOSED:
+        assert _checked(MUEAL, Context(), term) == "typed"
+        _checked(EAL, Context(), term)
+    for ctx, term, _, mode in OPEN_TYPED:
+        assert _checked(mode, ctx, term) == "typed"
+    for mode, ctx, term in ILL_TYPED:
+        assert _checked(mode, ctx, term) != "typed", print_term(term)
+
+
+MUTANT_TYPES = [TyVar("a"), TyVar("b"), BOOL, BangType(BOOL), Arrow(TyVar("a"), TyVar("a")),
+                BangType(Arrow(TyVar("a"), TyVar("a"))), STRS, BangType(STRS)]
+MUTANT_NAMES = ("x", "y", "a", "f0", "f1", "w", "n", "d")
+
+
+def _mutant(rng, t):
+    """t with one annotation replaced or one binder renamed."""
+    sites = [(path, s) for path, _, s in preorder(t)
+             if type(s) in (Lam, BangLam, TyLam, TyApp, Fold)]
+    path, s = rng.choice(sites)
+    cls = type(s)
+    if cls is TyLam:
+        new = TyLam(rng.choice(MUTANT_NAMES), s.body)
+    elif cls is TyApp:
+        new = TyApp(s.fn, rng.choice(MUTANT_TYPES))
+    elif cls is Fold:
+        new = Fold(rng.choice(MUTANT_TYPES), s.body)
+    elif rng.random() < 0.5:
+        new = cls(rng.choice(MUTANT_NAMES), s.ty, s.body)
+    else:
+        new = cls(s.var, rng.choice(MUTANT_TYPES), s.body)
+    return _replace_at(t, path, new)
+
+
+def _replace_at(t, path, new):
+    if not path:
+        return new
+    return replace_child(t, path[0], _replace_at(children(t)[path[0]], path[1:], new))
+
+
+def test_checker_matches_the_reference_on_mutants():
+    rng = random.Random(16)
+    terms = [term for _, term, _ in EAL_CLOSED + MUEAL_CLOSED]
+    outcomes = collections.Counter(
+        _checked(mode, Context(), _mutant(rng, rng.choice(terms)))
+        for _ in range(400) for mode in (EAL, MUEAL))
+    assert len(outcomes) >= 6 and outcomes["typed"] > 100, outcomes

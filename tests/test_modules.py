@@ -31,8 +31,8 @@ def test_term_walks_do_not_recurse():
     # seen: recursion through a method, such as the parser's self.term or
     # the Evaluator's self._eval, is invisible here, so parser.py is not
     # listed.
-    allowed = {"subst_term", "subst_type_in_term", "subst_type", "contains_mu",
-               "_ty_aeq", "_pty", "truncate_type"}
+    allowed = {"subst_term", "subst_type_in_term", "subst_type", "_ty_aeq",
+               "_pty", "truncate_type"}
     recursive = []
     for name in ("syntax.py", "truncate.py", "extract.py", "reduction.py"):
         tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
@@ -47,12 +47,13 @@ def test_term_walks_do_not_recurse():
 
 
 def test_contraction_path_dispatches_on_type():
-    # The functions every contraction runs test type(t) with `is`, which
-    # costs less than a class-pattern `match`; test_dispatch.py compares
-    # them with the match versions they replaced.
+    # The functions every contraction or type check runs test type(t) with
+    # `is`, which costs less than a class-pattern `match`; test_dispatch.py
+    # compares them with the match versions they replaced.
     path = {"syntax.py": {"children", "replace_child", "subst_term",
-                          "subst_type_in_term", "subst_type"},
-            "reduction.py": {"_contract", "_contract_child"}}
+                          "subst_type_in_term", "subst_type", "_ty_aeq"},
+            "reduction.py": {"_contract", "_contract_child"},
+            "typecheck.py": {"_infer"}}
     seen, matching = set(), []
     for name, functions in path.items():
         tree = ast.parse((SRC / name).read_text(encoding="utf-8"))

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
@@ -277,8 +278,26 @@ def test_decode_church_nat():
 def test_decode_scott_string():
     for w in ["", "0", "1", "01", "10", "1100", "01011"]:
         assert decode_scott_string(scott_string(w)) == w
-    with pytest.raises(DecodeError):
-        decode_scott_string(bool_term(True))
+    # normalized first, and names resolve to the innermost binder
+    assert decode_scott_string(App(Lam("s", None, Var("s")), scott_string("10"))) == "10"
+    shadowed = parse_term(r"fold[StrS] (/\a. \f:StrS -o a. \f:StrS -o a. \x:a. f "
+                          r"(fold[StrS] (/\a. \f0:StrS -o a. \f1:StrS -o a. \x:a. x)))")
+    assert decode_scott_string(shadowed) == "1"
+    for bad in (bool_term(True), church_string("01"), Var("s"),
+                parse_term(r"fold[StrS] (/\a. \f0:StrS -o a. \f1:StrS -o a. \x:a. f0)"),
+                parse_term(r"fold[StrS] (/\a. \f0:StrS -o a. \f1:StrS -o a. \f0:a. f0 "
+                           r"(fold[StrS] (/\a. \f0:StrS -o a. \f1:StrS -o a. \x:a. x)))")):
+        with pytest.raises(DecodeError):
+            decode_scott_string(bad)
+
+
+def test_long_scott_string_decodes_in_linear_time():
+    # one normalization, then one step per level of the normal form
+    w = "".join("01"[i * i % 7 % 2] for i in range(10 ** 4))
+    t = scott_string(w)
+    t0 = time.perf_counter()
+    assert decode_scott_string(t) == w
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_decode_rejects_non_string():
