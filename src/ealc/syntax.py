@@ -26,9 +26,9 @@ class TypeStructureError(Exception):
 # in __match_args__ and the node's free variables (a type also records
 # whether it contains a mu, for the type checker's gate in EAL mode, so the
 # gate costs one attribute read per annotation); nodes compare and hash
-# by identity and are never changed after construction.  App, Lam and
-# BangLam reuse a child's frozenset of free variables whenever theirs
-# equals it, so rebuilding a spine allocates no set per node.
+# by identity and are never changed after construction.  App, Lam, BangLam,
+# Arrow, Forall and Mu reuse a child's frozenset of free variables whenever
+# theirs equals it, so rebuilding a spine allocates no set per node.
 
 def _node_repr(node) -> str:
     return "%s(%s)" % (type(node).__name__, ", ".join(
@@ -64,7 +64,8 @@ class Arrow(Type):
 
     def __init__(self, src: Type, dst: Type):
         self.src, self.dst = src, dst
-        self.ftv = src.ftv | dst.ftv
+        f, a = src.ftv, dst.ftv  # _union, inlined as in App
+        self.ftv = f if not a or a is f else a if not f else f | a
         self.mu = src.mu or dst.mu
 
 
@@ -85,7 +86,8 @@ class Forall(Type):
             raise TypeStructureError(
                 "forall body must be strictly linear, got %s" % print_type(body))
         self.var, self.body = var, body
-        self.ftv = body.ftv - {var}
+        f = body.ftv
+        self.ftv = f - {var} if var in f else f
         self.mu = body.mu
 
 
@@ -97,7 +99,8 @@ class Mu(Type):
             raise TypeStructureError(
                 "mu body must be strictly linear, got %s" % print_type(body))
         self.var, self.body = var, body
-        self.ftv = body.ftv - {var}
+        f = body.ftv
+        self.ftv = f - {var} if var in f else f
         self.mu = True
 
 
@@ -120,7 +123,12 @@ UNIT: Type = Forall("a", Arrow(TyVar("a"), TyVar("a")))
 
 
 def is_unit(t: Type) -> bool:
-    return isinstance(t, Forall) and type_alpha_eq(t, UNIT)
+    """Whether t is forall a. a -o a, up to the name of a."""
+    if type(t) is not Forall:
+        return False
+    a, body = t.var, t.body
+    return (type(body) is Arrow and type(body.src) is TyVar and type(body.dst) is TyVar
+            and body.src.name == a and body.dst.name == a)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +140,7 @@ def _union(f: frozenset, a: frozenset) -> frozenset:
 
 
 class Term:
-    __slots__ = ("fvs", "ftv")  # the free term and type variables
+    __slots__ = ("fvs", "ftv", "__weakref__")  # free term and type variables
     __repr__ = _node_repr
 
     def __str__(self) -> str:
@@ -231,6 +239,9 @@ class Unfold(Term):
 
 # Occurrence paths: tuples of child indices from the root.  Every node has
 # children indexed 0.. in this fixed order (App: 0=function, 1=argument).
+# A walk keeps a path as a cell instead, linked to its parent's, so a step
+# costs O(1) and only a caller that reads a path pays for its tuple
+# (path_of).
 Path = tuple
 
 def children(t: Term) -> tuple:
@@ -276,19 +287,31 @@ def rebuild(t: Term, kids) -> Term:
 # long Church string never meets the interpreter's recursion limit.
 
 def preorder(t: Term, enter=None):
-    """Yield (path, bang_depth, s) for each subterm occurrence s of t in
-    preorder; bang_depth counts the bangs above s.  The walk skips what
-    lies below s when enter(s) is false."""
-    stack = [((), 0, t)]
+    """Yield (cell, bang_depth, s) for each subterm occurrence s of t in
+    preorder, where cell stands for s's path (see path_of) and bang_depth
+    counts the bangs above s.  The walk skips what lies below s when
+    enter(s) is false."""
+    stack = [(None, None, 0, t)]  # cells: (parent's cell, child index, depth, s)
     while stack:
-        path, depth, s = stack.pop()
-        yield path, depth, s
+        cell = stack.pop()
+        _, _, depth, s = cell
+        yield cell, depth, s
         if enter is None or enter(s):
             kids = children(s)
             if isinstance(s, Bang):
                 depth += 1
             for i in reversed(range(len(kids))):
-                stack.append((path + (i,), depth, kids[i]))
+                stack.append((cell, i, depth, kids[i]))
+
+
+def path_of(cell) -> Path:
+    """The path a walk's cell stands for."""
+    path = []
+    while cell[0] is not None:
+        path.append(cell[1])
+        cell = cell[0]
+    path.reverse()
+    return tuple(path)
 
 
 def fold_term(t: Term, pre, post=rebuild):
@@ -523,14 +546,15 @@ def _opt_ty_aeq(s, t, tl, tr, d):
 
 def depth_map(t: Term) -> dict:
     """Map each subterm occurrence (by path) to its bang-nesting depth."""
-    return {path: depth for path, depth, _ in preorder(t)}
+    return {path_of(cell): depth for cell, depth, _ in preorder(t)}
 
 
 def occurrences(t: Term, x: str):
-    """Yield the free occurrences of x in t as (path, depth) pairs, preorder."""
-    for path, depth, s in preorder(t, lambda s: x in s.fvs):
+    """Yield the free occurrences of x in t as (cell, depth) pairs, preorder
+    (path_of reads a cell's path)."""
+    for cell, depth, s in preorder(t, lambda s: x in s.fvs):
         if isinstance(s, Var) and s.name == x:
-            yield path, depth
+            yield cell, depth
 
 
 class StratificationViolation(namedtuple(
@@ -550,7 +574,7 @@ def check_stratification(t: Term):
     at depth 0.  Every typable term satisfies this.
     """
     violations = []
-    for path, _, s in preorder(t):
+    for cell, _, s in preorder(t):
         if not isinstance(s, (Lam, BangLam)):
             continue
         linear = isinstance(s, Lam)
@@ -558,15 +582,19 @@ def check_stratification(t: Term):
         extra = []
         for n, (occ, depth) in enumerate(occurrences(s.body, s.var)):
             if depth != (0 if linear else 1):
-                violations.append(StratificationViolation(
-                    path, s.var, path + (0,) + occ,
-                    "occurrence at depth %d under %s" % (depth, kind)))
+                violations.append(_violation(
+                    cell, s.var, occ, "occurrence at depth %d under %s" % (depth, kind)))
             if linear and n:
-                extra.append(StratificationViolation(
-                    path, s.var, path + (0,) + occ,
-                    "second occurrence of a linear variable"))
+                extra.append(_violation(
+                    cell, s.var, occ, "second occurrence of a linear variable"))
         violations += extra
     return violations
+
+
+def _violation(cell, x, occ, reason):
+    """x, bound at cell, occurs at occ (a cell of the binder's body)."""
+    path = path_of(cell)
+    return StratificationViolation(path, x, path + (0,) + path_of(occ), reason)
 
 
 # ---------------------------------------------------------------------------
@@ -617,23 +645,20 @@ def print_type(t: Type) -> str:
 
 
 def _pty(t: Type, prec: int) -> str:
-    if is_unit(t):
-        return "1"
-    match t:
-        case TyVar(a):
-            return a
-        case Forall(a, b):
-            s = "forall %s. %s" % (a, _pty(b, 0))
-        case Mu(a, b):
-            s = "mu %s. %s" % (a, _pty(b, 0))
-        case Arrow(src, dst):
-            s = "%s -o %s" % (_pty(src, 2), _pty(dst, 1))
-        case BangType(b):
-            return "!" + _pty(b, 3)
-        case _:
-            raise TypeError(t)
-    need = 1 if isinstance(t, (Forall, Mu)) else 2
-    return "(%s)" % s if prec >= need else s
+    cls = type(t)
+    if cls is TyVar:
+        return t.name
+    if cls is Arrow:
+        s = "%s -o %s" % (_pty(t.src, 2), _pty(t.dst, 1))
+        return "(%s)" % s if prec >= 2 else s
+    if cls is BangType:
+        return "!" + _pty(t.body, 3)
+    if cls is Forall or cls is Mu:
+        if is_unit(t):
+            return "1"
+        s = "%s %s. %s" % ("forall" if cls is Forall else "mu", t.var, _pty(t.body, 0))
+        return "(%s)" % s if prec >= 1 else s
+    raise TypeError(t)
 
 
 def print_term(t: Term) -> str:

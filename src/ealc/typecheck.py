@@ -14,11 +14,17 @@ splitting of gamma across an application is a disjointness check on free
 variables; delta and theta are shared between the two premises.  The path of
 a failing subterm is assembled only once a check fails.
 
+A closed term that checked in an empty context is remembered with its type,
+per mode, for as long as the term lives; checking it again, alone or as an
+application's function or argument, returns that type (see _CHECKED).
+
 Checking is purely synthesizing: annotations make the type of every term
 unique, and an expected type is only compared (up to alpha) at the root.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from .syntax import (
     App, Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu, Path, Term,
@@ -91,6 +97,38 @@ def classify_type(t: Type) -> str:
     return "linear"
 
 
+# The closed terms that checked in an empty context: id(t) maps to (a weak
+# reference to t, {mode: t's type in that mode}).  The reference's callback
+# drops the entry when t dies, before its id can be reused, so a miss costs
+# one dict lookup.  Only successes are stored, so every error is raised
+# afresh.  The types are used for the term checked again (typecheck) and for
+# a closed function or argument of an application (_infer): that is how
+# checked terms are combined, by promote among others.
+_CHECKED = {}
+
+
+def _remember(t, mode, ty):
+    key = id(t)
+    entry = _CHECKED.get(key)
+    if entry is None:
+        def forget(ref):
+            if _CHECKED.get(key, (None,))[0] is ref:
+                del _CHECKED[key]
+        entry = _CHECKED[key] = (weakref.ref(t, forget), {})
+    entry[1][mode] = ty
+
+
+def _recall(mode, env, t):
+    """The type stored for t in mode, or None when there is none or env
+    may change t's derivation.  A closed term's derivation does not depend
+    on its context, except that a TyLam renames its binder when a type in
+    the context has a free variable of that name."""
+    ty = _CHECKED[id(t)][1].get(mode)
+    if ty is None or any(s.ftv for _, s in env.values()):
+        return None
+    return ty
+
+
 def typecheck(mode: str, ctx: Context, t: Term) -> Type:
     """Synthesize the type of t, or raise TypeCheckError."""
     if mode not in MODES:
@@ -98,10 +136,16 @@ def typecheck(mode: str, ctx: Context, t: Term) -> Type:
     ctx.validate()
     zones = {LINEAR: ctx.gamma, BANG_BOUND: ctx.delta, TEMPORARY: ctx.theta}
     env = {x: (zone, ty) for zone, m in zones.items() for x, ty in m.items()}
+    ty = id(t) in _CHECKED and _recall(mode, env, t)
+    if ty:
+        return ty
     try:
-        return _infer(mode, env, t)
+        ty = _infer(mode, env, t)
     except _Failure as e:
         raise TypeCheckError(e.kind, tuple(reversed(e.rpath)), e.message) from None
+    if not env:
+        _remember(t, mode, ty)
+    return ty
 
 
 def typecheck_closed(mode: str, t: Term, expected: Type | None = None) -> Type:
@@ -163,19 +207,23 @@ def _infer(mode, env, t):
     #               G + G' | D | H |- t u : T      (G, G' disjoint)
     if cls is App:
         fn, arg = t.fn, t.arg
-        try:
-            fn_ty = _infer(mode, env, fn)
-        except _Failure as e:
-            e.rpath.append(0)
-            raise
+        fn_ty = id(fn) in _CHECKED and _recall(mode, env, fn)
+        if not fn_ty:
+            try:
+                fn_ty = _infer(mode, env, fn)
+            except _Failure as e:
+                e.rpath.append(0)
+                raise
         if type(fn_ty) is not Arrow:
             raise _Failure(MISMATCH, "applied term has type %s, not an arrow"
                            % print_type(fn_ty), [0])
-        try:
-            arg_ty = _infer(mode, env, arg)
-        except _Failure as e:
-            e.rpath.append(1)
-            raise
+        arg_ty = id(arg) in _CHECKED and _recall(mode, env, arg)
+        if not arg_ty:
+            try:
+                arg_ty = _infer(mode, env, arg)
+            except _Failure as e:
+                e.rpath.append(1)
+                raise
         # both premises typecheck, so their linear names are the linear
         # names among their free variables
         if not fn.fvs.isdisjoint(arg.fvs):

@@ -1,5 +1,6 @@
-"""Reference copies of the functions of the contraction path and of the
-type checker, written with class-pattern `match` as the library had them
+"""Reference copies of the functions of the contraction path, of the type
+printer and of the type checker, written with class-pattern `match` as the
+library had them
 before it dispatched on type(t).  test_dispatch.py compares the library
 against them.  Each copy calls the other copies, never the library's
 versions."""
@@ -175,6 +176,35 @@ def contract(t):
         case App(f, _) | TyApp(f, _) | Unfold(f):
             return contract_child(t, 0, f)
     return None
+
+
+# -- printing types ----------------------------------------------------------------
+
+UNIT = Forall("a", Arrow(TyVar("a"), TyVar("a")))
+
+
+def is_unit(t):
+    return isinstance(t, Forall) and type_alpha_eq(t, UNIT)
+
+
+def print_type_ref(t, prec=0):
+    if is_unit(t):
+        return "1"
+    match t:
+        case TyVar(a):
+            return a
+        case Forall(a, b):
+            s = "forall %s. %s" % (a, print_type_ref(b, 0))
+        case Mu(a, b):
+            s = "mu %s. %s" % (a, print_type_ref(b, 0))
+        case Arrow(src, dst):
+            s = "%s -o %s" % (print_type_ref(src, 2), print_type_ref(dst, 1))
+        case BangType(b):
+            return "!" + print_type_ref(b, 3)
+        case _:
+            raise TypeError(t)
+    need = 1 if isinstance(t, (Forall, Mu)) else 2
+    return "(%s)" % s if prec >= need else s
 
 
 # -- the type checker ------------------------------------------------------------

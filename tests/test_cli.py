@@ -96,6 +96,13 @@ def test_norm_show_steps_is_linear(tmp_path, capsys):
     assert seconds < 1.0, seconds
 
 
+def test_norm_reads_back_a_long_encoded_string(tmp_path, capsys):
+    w = "0110" * 2500
+    assert main(["encode", "--string", w, "-o", str(tmp_path / "w.eal")]) == 0
+    assert main(["norm", str(tmp_path / "w.eal")]) == 0
+    assert capsys.readouterr() == (print_term(church_string(w)) + "\n", "")
+
+
 def test_norm_fuel(tmp_path, capsys):
     f = write(tmp_path / "omega.eal", r"(\x. x x) (\x. x x)")
     assert main(["norm", f, "--fuel", "50"]) == 3

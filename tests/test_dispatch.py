@@ -18,10 +18,11 @@ from ealc import (
 from ealc import reduction
 from ealc.reduction import _contract, _contract_child, trace
 from ealc.syntax import (
-    Fold, all_names, children, preorder, print_term, print_type, replace_child,
-    subst_term, subst_type, subst_type_in_term,
+    UNIT, Fold, _pty, all_names, children, is_unit, path_of, preorder,
+    print_term, print_type, replace_child, subst_term, subst_type,
+    subst_type_in_term,
 )
-from ealc.typecheck import BANG_BOUND, LINEAR, TEMPORARY
+from ealc.typecheck import _CHECKED, BANG_BOUND, LINEAR, TEMPORARY
 
 import match_reference as ref
 from corpus import (
@@ -234,6 +235,23 @@ def test_non_terms_raise_type_error():
         assert fn(TyVar("a")) is None and fn(Fake()) is None
 
 
+def test_type_printer_matches_the_reference():
+    # every type of the corpus, banged and quantified, and the unit with
+    # its bound variable renamed, free or nested
+    a, b = TyVar("a"), TyVar("b")
+    types = TYPES + [BangType(ty) for ty in TYPES] + [
+        UNIT, Forall("b", Arrow(b, b)), Forall("a", Arrow(b, b)), Forall("a", Arrow(a, b)),
+        Forall("a", Arrow(UNIT, UNIT)), Arrow(UNIT, BangType(UNIT)), Mu("a", Arrow(a, a))]
+    assert sum(ref.is_unit(ty) for ty in types) >= 2
+    for ty in types:
+        assert is_unit(ty) == ref.is_unit(ty), ref.print_type_ref(ty)
+        for prec in range(4):
+            assert _pty(ty, prec) == ref.print_type_ref(ty, prec)
+    for fn in (_pty, ref.print_type_ref):
+        with pytest.raises(TypeError):
+            fn(Var("x"), 0)
+
+
 # -- the type checker ------------------------------------------------------------
 
 def test_mu_flag_matches_the_reference():
@@ -274,6 +292,7 @@ def _checked(mode, ctx, t):
     return "typed" or the error's kind."""
     env = {x: (zone, ty) for zone, m in ((LINEAR, ctx.gamma), (BANG_BOUND, ctx.delta),
                                         (TEMPORARY, ctx.theta)) for x, ty in m.items()}
+    _CHECKED.clear()  # compare the checker, not the types it remembers
     new = _outcome(lambda: typecheck(mode, ctx, t))
     old = _outcome(lambda: ref._infer(mode, env, t))
     if type(new) is tuple or type(old) is tuple:
@@ -311,7 +330,7 @@ MUTANT_NAMES = ("x", "y", "a", "f0", "f1", "w", "n", "d")
 
 def _mutant(rng, t):
     """t with one annotation replaced or one binder renamed."""
-    sites = [(path, s) for path, _, s in preorder(t)
+    sites = [(path_of(cell), s) for cell, _, s in preorder(t)
              if type(s) in (Lam, BangLam, TyLam, TyApp, Fold)]
     path, s = rng.choice(sites)
     cls = type(s)

@@ -23,35 +23,102 @@ def test_no_function_local_imports():
     assert local == []
 
 
+def _call_graph(tree):
+    """{function: the functions it calls} for every function defined in a
+    module: a call of a plain name, and a call self.m(...) in a method, go
+    to the function of that name, or to method m of the same class."""
+    graph = {}
+
+    def add(node, cls):
+        calls = graph.setdefault(node.name if cls is None else "%s.%s" % (cls, node.name),
+                                 set())
+        for inner in ast.walk(node):
+            if not isinstance(inner, ast.Call):
+                continue
+            f = inner.func
+            if isinstance(f, ast.Name):
+                calls.add(f.id)
+            elif (cls is not None and isinstance(f, ast.Attribute)
+                  and isinstance(f.value, ast.Name) and f.value.id == "self"):
+                calls.add("%s.%s" % (cls, f.attr))
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    add(method, node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            add(node, None)
+    return graph
+
+
+def _recursive(graph):
+    """The functions of graph that can reach themselves."""
+    found = set()
+    for start in graph:
+        seen, todo = set(), list(graph[start])
+        while todo:
+            f = todo.pop()
+            if f == start:
+                found.add(start)
+                break
+            if f in graph and f not in seen:
+                seen.add(f)
+                todo.extend(graph[f])
+    return found
+
+
 def test_term_walks_do_not_recurse():
-    # Term walks go through syntax.preorder / fold_term, whose explicit
-    # stacks take any depth.  The allowed self-calls are substitution, which
-    # runs on every contraction, and the walks over types, which stay
-    # shallow.  Only a call of the function's own name (an ast.Name) is
-    # seen: recursion through a method, such as the parser's self.term or
-    # the Evaluator's self._eval, is invisible here, so parser.py is not
-    # listed.
+    # Term walks go through syntax.preorder / fold_term, and the parser runs
+    # on its own explicit stacks, so each takes any depth.  A function
+    # counts as recursive when it can call itself, directly, through other
+    # functions of its module or through methods of its class (self.m).
+    # The allowed ones are substitution, which runs on every contraction;
+    # the walks over types, which stay shallow; and the Evaluator, which
+    # recurses as deep as the recognizer it runs, since a word enters it as
+    # a native value that decide folds over in a loop.
     allowed = {"subst_term", "subst_type_in_term", "subst_type", "_ty_aeq",
-               "_pty", "truncate_type"}
+               "_pty", "truncate_type",
+               "Evaluator._eval", "Evaluator._apply", "Evaluator._force"}
     recursive = []
-    for name in ("syntax.py", "truncate.py", "extract.py", "reduction.py"):
+    for name in ("syntax.py", "truncate.py", "extract.py", "reduction.py", "parser.py"):
         tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                calls = {inner.func.id for inner in ast.walk(node)
-                         if isinstance(inner, ast.Call)
-                         and isinstance(inner.func, ast.Name)}
-                if node.name in calls and node.name not in allowed:
-                    recursive.append("%s:%s" % (name, node.name))
+        recursive += ["%s:%s" % (name, f)
+                      for f in sorted(_recursive(_call_graph(tree)) - allowed)]
     assert recursive == []
 
 
+def test_recursion_check_sees_methods():
+    tree = ast.parse("""
+class P:
+    def term(self):
+        return self.atom()
+
+    def atom(self):
+        return self.term() if self.more() else 1
+
+    def more(self):
+        return False
+
+def walk(t):
+    return [walk(c) for c in t]
+
+def ping(n):
+    return pong(n)
+
+def pong(n):
+    return ping(n - 1) if n else 0
+""")
+    assert _recursive(_call_graph(tree)) == {"P.term", "P.atom", "walk", "ping", "pong"}
+
+
 def test_contraction_path_dispatches_on_type():
-    # The functions every contraction or type check runs test type(t) with
-    # `is`, which costs less than a class-pattern `match`; test_dispatch.py
-    # compares them with the match versions they replaced.
+    # The functions every contraction or type check runs, and the type
+    # printer, test type(t) with `is`, which costs less than a class-pattern
+    # `match`; test_dispatch.py compares them with the match versions they
+    # replaced.
     path = {"syntax.py": {"children", "replace_child", "subst_term",
-                          "subst_type_in_term", "subst_type", "_ty_aeq"},
+                          "subst_type_in_term", "subst_type", "_ty_aeq", "_pty"},
             "reduction.py": {"_contract", "_contract_child"},
             "typecheck.py": {"_infer"}}
     seen, matching = set(), []

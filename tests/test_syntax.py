@@ -1,3 +1,4 @@
+import gc
 import time
 
 import pytest
@@ -11,8 +12,10 @@ from ealc import (
     print_type, ParseError, scott_string,
     split_occurrences, subst_term, subst_type, truncate_term, type_alpha_eq,
 )
+from ealc import syntax
 from ealc.syntax import (
-    StratificationViolation, all_names, children, occurrences, preorder,
+    StratificationViolation, all_names, children, occurrences, path_of,
+    preorder,
 )
 
 from corpus import EAL_CLOSED, MUEAL_CLOSED
@@ -157,6 +160,32 @@ PARSE_ERRORS = [
      "1:8: expected an identifier (at '.')"),
     (parse_type, 'a -o\n  (b -o c',
      "2:10: expected ')' (at 'end of input')"),
+    # unclosed nesting 200 levels deep, in terms and in types
+    (parse_term, '(' * 200 + 'x',
+     "1:202: expected ')' (at 'end of input')"),
+    (parse_term, '<' * 200 + 'x',
+     "1:202: expected ',' (at 'end of input')"),
+    (parse_term, 'f [' + 'Str[' * 200 + 'a',
+     "1:805: expected ']' (at 'end of input')"),
+    (parse_term, '\\x:' + '(' * 200 + 'a. x',
+     "1:205: expected ')' (at '.')"),
+    # Str[ with no ]
+    (parse_term, '\\x:Str[a. x',
+     "1:9: expected ']' (at '.')"),
+    (parse_term, 'x [Str[Bool]',
+     "1:13: expected ']' (at 'end of input')"),
+    # forall a with no . in a bracket annotation
+    (parse_term, 'f [forall a a -o a]',
+     "1:13: expected '.' (at 'a')"),
+    (parse_term, 'f [forall a]',
+     "1:12: expected '.' (at ']')"),
+    # characters that are not whitespace here
+    (parse_term, '\\x:a. x\fy',
+     "1:8: unexpected character '\\x0c'"),
+    (parse_term, 'x\vy',
+     "1:2: unexpected character '\\x0b'"),
+    (parse_term, '\\x:a.\xa0x',
+     "1:6: unexpected character '\\xa0'"),
 ]
 
 
@@ -369,6 +398,69 @@ def test_walks_on_a_long_church_string():
     assert len(names) == w[:1200].count("1") and "f1" not in t2.fvs
 
 
+def test_long_strings_parse_back():
+    # The parser keeps its own stack, so a printed 10^4-letter string, which
+    # nests 10^4 parentheses, reads back at the default recursion limit.
+    w = "0110" * 2500
+    for make in (church_string, scott_string):
+        t = make(w)
+        assert alpha_eq(parse_term(print_term(t)), t), make.__name__
+
+
+def test_deep_types_parse():
+    deep = "!" * 3000 + "a"
+    t = parse_type(deep)
+    for _ in range(3000):
+        assert type(t) is BangType
+        t = t.body
+    assert t.name == "a"
+    t = parse_type(" -o ".join("a%d" % i for i in range(3000)))
+    for i in range(2999):
+        assert t.src.name == "a%d" % i
+        t = t.dst
+    t = parse_type("(" * 3000 + "Str[" * 3000 + "a" + "]" * 3000 + ")" * 3000)
+    assert t.ftv == {"a"}
+
+
+def test_path_free_walks_build_no_path(monkeypatch):
+    # A walk keeps paths as parent-linked cells of four fields, and only
+    # path_of turns one into a tuple, so all_names and a passing
+    # check_stratification, which never call it, build no path at all.
+    t = church_string("0110" * 2500)
+    assert all(len(cell) == 4 and type(cell[0]) in (tuple, type(None))
+               for cell, _, _ in preorder(t))
+
+    def no_path(cell):
+        raise AssertionError("a path was built")
+
+    monkeypatch.setattr(syntax, "path_of", no_path)
+    assert all_names(t) == {"f0", "f1", "x"}
+    assert check_stratification(t) == []
+    with pytest.raises(AssertionError, match="a path was built"):
+        check_stratification(parse_term(r"\x:a. \f:a -o a -o a. f x x"))
+
+
+def test_passing_stratification_check_is_linear():
+    # 3.6 times as long at 10^4 letters as at 5000 when each step copied its
+    # path; about twice as long now.  Each time is the least of eleven
+    # samples, taken alternating between the two lengths, with the cyclic
+    # collector paused, since a full collection costs in proportion to
+    # everything the test run keeps alive.
+    best = [float("inf")] * 2
+    for _ in range(11):
+        for k, n in enumerate((5000, 10000)):
+            gc.collect()
+            t = church_string("0110" * (n // 4))
+            gc.disable()
+            try:
+                t0 = time.perf_counter()
+                check_stratification(t)
+                best[k] = min(best[k], time.perf_counter() - t0)
+            finally:
+                gc.enable()
+    assert best[1] <= 3 * best[0], best
+
+
 def test_long_scott_string_prints_in_linear_time():
     # A Scott string nests each suffix one level deeper, about 190
     # characters a letter; printing emits each piece once, into one list.
@@ -448,7 +540,8 @@ def _free_by_preorder(t):
     """{path: (free term names, free type names)} for every subterm of t,
     from each occurrence and the binders on the path above it."""
     free = {}
-    for path, _, s in preorder(t):
+    for cell, _, s in preorder(t):
+        path = path_of(cell)
         free[path] = (set(), set())
         spine = [t]  # spine[k] is the subterm at path[:k]
         for i in path:
@@ -473,8 +566,8 @@ def test_free_variables_match_a_reference_on_the_corpus():
     for name, term, ty in EAL_CLOSED + MUEAL_CLOSED:
         assert ty.ftv == _type_free(ty), name
         free = _free_by_preorder(term)
-        for path, _, s in preorder(term):
-            assert (s.fvs, s.ftv) == free[path], (name, path)
+        for cell, _, s in preorder(term):
+            assert (s.fvs, s.ftv) == free[path_of(cell)], (name, path_of(cell))
     # open terms, with free names of both kinds
     t = parse_term(r"\x:a. f (y [b -o c]) (/\b. \z:b. x)")
     assert (t.fvs, t.ftv) == ({"f", "y"}, {"a", "b", "c"})

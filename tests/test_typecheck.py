@@ -1,12 +1,19 @@
+import gc
+import importlib
+
 import pytest
 
 from ealc import (
-    App, Arrow, Bang, BangType, BOOL, Context, EAL, Lam, MUEAL,
+    App, Arrow, Bang, BangType, BOOL, Context, EAL, Lam, MUEAL, NAT,
     STR, STRS, TyApp, TyLam, TyVar, TypeCheckError, Var,
     bool_term, check_stratification, church_string, classify_type,
-    parse_term, parse_type, scott_string, type_alpha_eq, typecheck,
+    compile_monoid, parse_term, parse_type, print_term, print_type, promote,
+    regex_to_dfa, scott_string, transition_monoid, type_alpha_eq, typecheck,
     typecheck_closed,
 )
+from ealc.typecheck import _CHECKED
+
+typecheck_mod = importlib.import_module("ealc.typecheck")
 
 from corpus import EAL_CLOSED, MUEAL_CLOSED, OPEN_TYPED, not_term
 
@@ -230,3 +237,139 @@ def test_error_text_covers_every_kind():
         "unbound-variable", "zone-misuse", "nonlinear-use", "class-violation",
         "forall-instantiation-not-linear", "bang-body-escape", "mismatch",
         "mu-in-eal-mode"}
+
+
+# -- the memo of closed terms ------------------------------------------------------
+
+# The regexes of the five reference languages (parity, contains-11, div3,
+# ends-with-0, all-strings).
+REFERENCE_REGEXES = ["(0*10*1)*0*", "(0|1)*11(0|1)*", "(0|11|10(1|00)*01)*",
+                     "(0|1)*0", "(0|1)*"]
+
+
+def _result(check):
+    """A check's printed type, or its error as (kind, path, message)."""
+    try:
+        return print_type(check())
+    except TypeCheckError as e:
+        return (e.kind, e.path, e.message)
+
+
+def _cold(check):
+    """_result(check) with the memo emptied first."""
+    _CHECKED.clear()
+    return _result(check)
+
+
+def _memo_terms():
+    recognizers = [compile_monoid(transition_monoid(regex_to_dfa(r)))
+                   for r in REFERENCE_REGEXES]
+    return [term for _, term, _ in EAL_CLOSED + MUEAL_CLOSED] + recognizers
+
+
+def test_memo_gives_the_types_of_a_cold_check():
+    lifted_checks = 0
+    for t in _memo_terms():
+        for mode in (EAL, MUEAL):
+            check = lambda: typecheck_closed(mode, t)  # noqa: E731
+            first, second = _result(check), _result(check)
+            assert first == second == _cold(check), print_term(t)
+            if isinstance(first, tuple):
+                assert mode not in _CHECKED.get(id(t), (None, {}))[1]
+                continue
+            assert _CHECKED[id(t)][0]() is t and mode in _CHECKED[id(t)][1]
+            arity = 1 if type(typecheck_closed(mode, t)) is Arrow else 0
+            for k in (1, 2, 3):
+                lifted = promote(t, arity, k, mode)
+                check = lambda: typecheck_closed(mode, lifted)  # noqa: E731
+                typecheck_closed(mode, t)
+                warm = _result(check)
+                assert warm == _cold(check), (print_term(t), k)
+                lifted_checks += 1
+    assert lifted_checks > 100
+
+
+def test_memo_skips_a_checked_subterm(monkeypatch):
+    t = compile_monoid(transition_monoid(regex_to_dfa(REFERENCE_REGEXES[2])))
+    lifted = promote(t, 1, 2, EAL)
+    calls = []
+    infer = typecheck_mod._infer
+
+    def counting(mode, env, s):
+        calls.append(s)
+        return infer(mode, env, s)
+    monkeypatch.setattr(typecheck_mod, "_infer", counting)
+    _CHECKED.clear()
+    typecheck_closed(EAL, t)
+    cold = len(calls)
+    del calls[:]
+    typecheck_closed(EAL, t)
+    promote(t, 1, 2, EAL)
+    assert calls == []
+    typecheck_closed(EAL, lifted)
+    # each level of promotion is \!x1. !(_ x1), four nodes, and t, the
+    # function of the inner application, is looked up instead of checked
+    assert len(calls) == 8 and t not in calls and cold > 100
+
+
+def test_memo_keeps_errors():
+    t = compile_monoid(transition_monoid(regex_to_dfa(REFERENCE_REGEXES[0])))
+    typecheck_closed(EAL, t)
+    ill = [parse_term(src) for mode, ctx, src, _ in ERROR_TEXT if mode == EAL and
+           not ctx.gamma] + [
+        App(t, bool_term(True)),
+        App(App(t, church_string("01")), t),
+        Lam("x", BOOL, App(t, Var("x"))),
+        promote(scott_string("1"), 0, 1),
+    ]
+    for s in ill:
+        for mode in (EAL, MUEAL):
+            check = lambda: typecheck_closed(mode, s)  # noqa: E731
+            results = [_result(check), _result(check), _cold(check), _result(check)]
+            if mode == EAL:
+                assert isinstance(results[0], tuple), print_term(s)
+            assert results.count(results[0]) == 4, results
+
+
+def test_memo_is_not_used_when_a_binder_would_be_renamed():
+    # Under a context whose types have a free a, /\a. is renamed to a'1;
+    # a memo hit would give the closed check's "forall a. ...".  The type of
+    # a closed function reaches the result, and an argument's type the
+    # mismatch message.
+    t = bool_term(True)
+    f = Lam("z", BOOL, t)
+    assert print_type(typecheck_closed(EAL, f)) == \
+        "(forall a. a -o a -o a) -o (forall a. a -o a -o a)"
+    ctx = Context(gamma={"x": TyVar("a")})
+    renamed = "forall a'1. a'1 -o a'1 -o a'1"
+    for s, want in (
+            (t, renamed),
+            (App(f, bool_term(False)), renamed),
+            (App(Lam("n", NAT, Var("n")), t),
+             ("mismatch", (1,), "argument has type %s, expected %s"
+              % (renamed, print_type(NAT))))):
+        check = lambda: typecheck(EAL, ctx, s)  # noqa: E731
+        for closed in (t, f):
+            typecheck_closed(EAL, closed)
+        assert _result(check) == want
+        assert _cold(check) == want
+    # a check in a context is not remembered
+    _CHECKED.clear()
+    assert _result(lambda: typecheck(EAL, ctx, t)) == renamed
+    assert print_type(typecheck_closed(EAL, t)) == "forall a. a -o a -o a"
+    # with no free type variable in the context the entry is used
+    typecheck_closed(EAL, f)
+    ctx = Context(gamma={"x": BOOL})
+    assert print_type(typecheck(EAL, ctx, App(f, bool_term(False)))) == \
+        "forall a. a -o a -o a"
+
+
+def test_memo_entry_dies_with_its_term():
+    t = church_string("0110")
+    typecheck_closed(EAL, t)
+    typecheck_closed(MUEAL, t)
+    key = id(t)
+    assert set(_CHECKED[key][1]) == {EAL, MUEAL}
+    del t
+    gc.collect()
+    assert key not in _CHECKED
