@@ -17,30 +17,10 @@ from .typecheck import Context, MUEAL, TypeCheckError, typecheck
 
 # -- named types -------------------------------------------------------------
 
-def bool_ty() -> Type:
-    a = TyVar("a")
-    return Forall("a", Arrow(a, Arrow(a, a)))
-
-
 def str_of(s: Type) -> Type:
     """Str[S] = !(S -o S) -o !(S -o S) -o !(S -o S)."""
     e = BangType(Arrow(s, s))
     return Arrow(e, Arrow(e, e))
-
-
-def str_ty() -> Type:
-    return Forall("a", str_of(TyVar("a")))
-
-
-def nat_ty() -> Type:
-    e = BangType(Arrow(TyVar("a"), TyVar("a")))
-    return Forall("a", Arrow(e, e))
-
-
-def scott_str_ty() -> Type:
-    b, a = TyVar("b"), TyVar("a")
-    arm = Arrow(b, a)
-    return Mu("b", Forall("a", Arrow(arm, Arrow(arm, Arrow(a, a)))))
 
 
 def tensor(s: Type, t: Type) -> Type:
@@ -59,10 +39,16 @@ def monoid_ty(k: int) -> Type:
     return Forall("a", t)
 
 
-BOOL = bool_ty()
-STR = str_ty()
-NAT = nat_ty()
-STRS = scott_str_ty()
+# Bool = forall a. a -o a -o a
+# Str  = forall a. Str[a]
+# Nat  = forall a. !(a -o a) -o !(a -o a)
+# StrS = mu b. forall a. (b -o a) -o (b -o a) -o a -o a
+_A = TyVar("a")
+_ARM = Arrow(TyVar("b"), _A)
+BOOL = Forall("a", Arrow(_A, Arrow(_A, _A)))
+STR = Forall("a", str_of(_A))
+NAT = Forall("a", Arrow(BangType(Arrow(_A, _A)), BangType(Arrow(_A, _A))))
+STRS = Mu("b", Forall("a", Arrow(_ARM, Arrow(_ARM, Arrow(_A, _A)))))
 
 
 def bang(ty: Type, k: int = 1) -> Type:
@@ -148,12 +134,11 @@ def pair_elim(u: Term, s: Type, t: Type, x: str, y: str, body: Term,
 def scott_string(w: str) -> Term:
     """Pattern-matching string encoding; needs mueal mode."""
     _check_binary(w)
-    strs = scott_str_ty()
     a = TyVar("a")
-    arm = Arrow(strs, a)
+    arm = Arrow(STRS, a)
 
     def node(body: Term) -> Term:
-        return Fold(strs, TyLam("a", Lam("f0", arm, Lam("f1", arm, Lam("x", a, body)))))
+        return Fold(STRS, TyLam("a", Lam("f0", arm, Lam("f1", arm, Lam("x", a, body)))))
 
     term = node(Var("x"))
     for c in reversed(w):  # innermost first, so no recursion per letter
@@ -209,32 +194,31 @@ def cast_term() -> Term:
     n rounds the function component iterates the first min(n, length)
     letters, which is exactly the Church encoding of that prefix.
     """
-    strs = scott_str_ty()
     a = TyVar("a")
     aa = Arrow(a, a)
-    state = tensor(aa, strs)  # the Nat is instantiated at this loop state
+    state = tensor(aa, STRS)  # the Nat is instantiated at this loop state
     id_a = Lam("x", a, Var("x"))
 
     # case u of {0 v -> f0 * v | 1 v -> f1 * v | e -> id * S("")}
-    branch = lambda f: Lam("v", strs, pair(Var(f), aa, Var("v"), strs))
+    branch = lambda f: Lam("v", STRS, pair(Var(f), aa, Var("v"), STRS))
     case = App(App(App(TyApp(Unfold(Var("u")), state), branch("f0")),
                    branch("f1")),
-               pair(Lam("z", a, Var("z")), aa, scott_string(""), strs))
+               pair(Lam("z", a, Var("z")), aa, scott_string(""), STRS))
 
     # let f * v = case ... in (\x. h (f x)) * v
     step_body = pair_elim(
-        case, aa, strs, "f", "v",
+        case, aa, STRS, "f", "v",
         pair(Lam("x", a, App(Var("h"), App(Var("f"), Var("x")))), aa,
-             Var("v"), strs),
+             Var("v"), STRS),
         state)
-    step = Lam("p", state, pair_elim(Var("p"), aa, strs, "h", "u", step_body, state))
+    step = Lam("p", state, pair_elim(Var("p"), aa, STRS, "h", "u", step_body, state))
 
-    readout = App(TyApp(TyApp(proj(1), aa), strs),
-                  App(Var("g"), pair(id_a, aa, Var("w"), strs)))
+    readout = App(TyApp(TyApp(proj(1), aa), STRS),
+                  App(Var("g"), pair(id_a, aa, Var("w"), STRS)))
     loop = App(BangLam("g", Arrow(state, state), Bang(readout)),
                App(TyApp(Var("n"), state), Bang(step)))
 
-    return Lam("n", nat_ty(), BangLam("w", strs, TyLam(
+    return Lam("n", NAT, BangLam("w", STRS, TyLam(
         "a", BangLam("f0", aa, BangLam("f1", aa, loop)))))
 
 

@@ -26,6 +26,7 @@ from .syntax import (
     TyApp, TyLam, TyVar, UNIT, Unfold, Var, is_unit, print_term, print_type,
     subst_type,
 )
+from .typecheck import EAL, Context, TypeCheckError, typecheck
 
 POLICY_ERROR = "error"
 POLICY_BASE = "instantiate-at-base"
@@ -170,38 +171,6 @@ def fn_outputs(f: FrameValue) -> tuple:
 # ---------------------------------------------------------------------------
 # Evaluation (type-directed; exponential-free terms only)
 
-def _synth(t: Term, tyctx: dict) -> Type:
-    match t:
-        case Var(x):
-            if x not in tyctx:
-                raise SemanticsUnsupported("free variable %s has no value" % x)
-            return tyctx[x]
-        case Lam(x, ann, body):
-            if ann is None:
-                raise SemanticsUnsupported("unannotated binder %s" % x)
-            return Arrow(ann, _synth(body, {**tyctx, x: ann}))
-        case App(f, _):
-            fty = _synth(f, tyctx)
-            if is_unit(fty):
-                raise SemanticsUnsupported("applying a unit-typed term")
-            if not isinstance(fty, Arrow):
-                raise SemanticsUnsupported("application of non-arrow")
-            return fty.dst
-        case TyLam(a, body):
-            return Forall(a, _synth(body, tyctx))
-        case TyApp(f, ann):
-            fty = _synth(f, tyctx)
-            if is_unit(fty):
-                return Arrow(ann, ann)
-            if not isinstance(fty, Forall):
-                raise SemanticsUnsupported("type application of non-quantified term")
-            return subst_type(fty.body, fty.var, ann)
-        case Bang(_) | BangLam(_, _, _) | Fold(_, _) | Unfold(_):
-            raise SemanticsUnsupported(
-                "term with exponentials or fixpoints: %s" % print_term(t))
-    raise TypeError(t)
-
-
 def eval_term(t: Term, env: dict | None = None, base: int = 2,
               policy: str = POLICY_ERROR, cap: int = DEFAULT_CAP) -> FrameValue:
     """Compositional evaluation; env maps free variables to FrameValues.
@@ -235,7 +204,13 @@ def _eval(t, env, base, policy, cap):
             result = apply_value(fv, av)
             return unit_point() if is_unit(fty.dst) else result
         case TyLam(a, body):
-            if is_unit(Forall(a, _synth(body, {x: v.space.ty for x, v in env.items()}))):
+            # typed by the checker; the only closed value of type 1 is the identity
+            gamma = {x: v.space.ty for x, v in env.items()}
+            try:
+                ty = typecheck(EAL, Context(gamma=gamma), t)
+            except TypeCheckError as e:
+                raise SemanticsUnsupported(str(e)) from None
+            if is_unit(ty):
                 return unit_point()
             if policy == POLICY_ERROR:
                 raise SemanticsUnsupported(
@@ -265,8 +240,10 @@ def _eval(t, env, base, policy, cap):
                     "represent this" % (print_type(fty), print_type(ann),
                                         rspace.size, fv.space.size))
             return FrameValue(rspace, fv.index)
-    # exponentials, fixpoints, anything else
-    return _synth(t, {})  # _synth raises with a precise message
+        case Bang() | BangLam() | Fold() | Unfold():
+            raise SemanticsUnsupported(
+                "term with exponentials or fixpoints: %s" % print_term(t))
+    raise TypeError(t)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from ealc import (
     App, Arrow, Bang, BangLam, BangType, BOOL, Context, EAL, Fold, Lam,
-    MUEAL, NAT, STR, Term, TyApp, TyLam, TyVar, Var, bool_term, cast_term,
+    MUEAL, NAT, STR, STRS, Term, TyApp, TyLam, TyVar, Var, bool_term, cast_term,
     church_nat, church_string, compile_dfa, dfa, monoid_elem, monoid_ty,
     pair, proj, promote, scott_string, typecheck,
 )
-from ealc.encode import _check_binary, scott_str_ty
+from ealc.encode import _check_binary
 
 # ---------------------------------------------------------------------------
 # Reference automata (the five acceptance languages)
@@ -121,13 +121,12 @@ def scott_cons(c: str) -> Term:
     _check_binary(c)
     if len(c) != 1:
         raise ValueError("cons takes a single letter")
-    strs = scott_str_ty()
     a = TyVar("a")
-    arm = Arrow(strs, a)
+    arm = Arrow(STRS, a)
     f = "f0" if c == "0" else "f1"
-    inner = Fold(strs, TyLam("a", Lam("f0", arm, Lam("f1", arm, Lam(
+    inner = Fold(STRS, TyLam("a", Lam("f0", arm, Lam("f1", arm, Lam(
         "x", a, App(Var(f), Var("s")))))))
-    return Lam("s", strs, inner)
+    return Lam("s", STRS, inner)
 
 
 def string_length() -> Term:
@@ -150,9 +149,8 @@ def nat_succ() -> Term:
 
 def church_to_scott() -> Term:
     """\\w:Str. let !g = w [StrS] !cons0 !cons1 in !(g S(""))  :  Str -o !StrS"""
-    strs = scott_str_ty()
-    body = App(BangLam("g", Arrow(strs, strs), Bang(App(Var("g"), scott_string("")))),
-               App(App(TyApp(Var("w"), strs), Bang(scott_cons("0"))),
+    body = App(BangLam("g", Arrow(STRS, STRS), Bang(App(Var("g"), scott_string("")))),
+               App(App(TyApp(Var("w"), STRS), Bang(scott_cons("0"))),
                    Bang(scott_cons("1"))))
     return Lam("w", STR, body)
 

@@ -1,5 +1,6 @@
 import ast
 import collections
+import importlib
 import pathlib
 import re
 
@@ -21,6 +22,34 @@ def test_no_function_local_imports():
                     if isinstance(inner, (ast.Import, ast.ImportFrom)):
                         local.append("%s:%d" % (path.name, inner.lineno))
     assert local == []
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml promises Python >= 3.10: no except*, type statements
+    # or PEP 695 generics
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def _newer_than_3_10(pattern):
+    """The possessive quantifiers and atomic groups (re since 3.11) in a
+    pattern's text, once each escape and character class is one atom."""
+    atoms = re.sub(r"\\.|\[\^?\]?(?:\\.|[^\]\\])*\]", "x", pattern, flags=re.S)
+    return re.findall(r"[*+?}]\+|\(\?>", atoms)
+
+
+def test_patterns_compile_on_python_3_10():
+    assert _newer_than_3_10(r"a*+b++c?+d{2}+(?>e)") == ["*+", "++", "?+", "}+", "(?>"]
+    assert _newer_than_3_10(r"[*+]\++[]+]+[^]+]+[^\]+]+a+|b{2}") == []
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(
+            "ealc" if path.stem == "__init__" else "ealc." + path.stem)
+        for name, value in vars(module).items():
+            if isinstance(value, re.Pattern):
+                found += ["%s:%s %s" % (path.stem, name, bad)
+                          for bad in _newer_than_3_10(value.pattern)]
+    assert found == []
 
 
 def _call_graph(tree):

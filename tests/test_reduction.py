@@ -6,13 +6,12 @@ import time
 import pytest
 
 from ealc import (
-    EAL, App, Arrow, Bang, BangLam, Context, DecodeError, FuelExhausted, Lam,
+    EAL, STR, App, Arrow, Bang, BangLam, Context, DecodeError, FuelExhausted, Lam,
     TyApp, TyLam, TyVar, Var, alpha_eq, bool_term, church_nat, church_string,
     compile_dfa, decode_church_nat, decode_church_string, decode_scott_string,
     erase_annotations, is_normal, normalize, parse_term, print_term, promote,
     read_bool, scott_string, step, typecheck,
 )
-from ealc.encode import str_ty
 from ealc.reduction import DEFAULT_FUEL, _contract, trace
 from ealc.syntax import Path, Term, children, replace_child
 
@@ -261,7 +260,7 @@ def test_readers_on_a_long_word():
     # \s. /\a. \!f0. \!f1. s [a] !f1 !f0 swaps the letters: normalizing it
     # renames f1 and substitutes for f0 and f1 along the whole spine
     a = TyVar("a")
-    swap = Lam("s", str_ty(), TyLam("a", BangLam("f0", Arrow(a, a), BangLam(
+    swap = Lam("s", STR, TyLam("a", BangLam("f0", Arrow(a, a), BangLam(
         "f1", Arrow(a, a),
         App(App(TyApp(Var("s"), a), Bang(Var("f1"))), Bang(Var("f0")))))))
     flipped = w.translate(str.maketrans("01", "10"))

@@ -4,7 +4,7 @@ import pytest
 
 from ealc import (
     App, Arrow, Bang, BangType, BOOL, CapExceeded, Lam, STRS,
-    SemanticsUnsupported, TyApp, TyVar, UNIT, Var, bool_term,
+    SemanticsUnsupported, TyApp, TyLam, TyVar, UNIT, Var, bool_term,
     church_string, EndoMonoid, eval_term, interp_type, normalize,
     parse_term, parse_type, phi_entry, phi_of_word, truncate_type,
     type_alpha_eq,
@@ -153,6 +153,27 @@ def test_eval_rejects_exponentials():
 def test_eval_free_variable_has_no_value():
     with pytest.raises(SemanticsUnsupported, match="^free variable z has no value$"):
         eval_term(Var("z"))
+
+
+def test_type_abstraction_is_typed_by_the_checker():
+    # the checker's error, not a TypeStructureError from building forall b. a
+    with pytest.raises(SemanticsUnsupported, match=r"^/: class-violation: cannot "
+                                                   r"quantify over body of type a "):
+        eval_term(parse_term(r"\y:a. /\b. y"))
+
+
+def test_unbound_or_unannotated_under_type_abstraction_is_unsupported():
+    with pytest.raises(SemanticsUnsupported):
+        eval_term(parse_term(r"/\a. \x:a. z"))
+    with pytest.raises(SemanticsUnsupported):
+        eval_term(TyLam("a", Lam("x", None, Var("x"))))
+
+
+def test_unit_abstraction_is_the_unit_point_whatever_its_body():
+    # the only closed value of 1 is the identity, so the bang inside is never read
+    t = parse_term(r"/\a. (\!d:a -o a. \x:a. x) !(\z:a. z)")
+    for policy in (POLICY_ERROR, POLICY_BASE):
+        assert eval_term(t, policy=policy) == unit_point()
 
 
 def test_value_space_records_its_type():
