@@ -12,29 +12,68 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
-from . import encode, extract
-from .extract import (
-    UnsupportedShape, VerificationFailed, extract_lstar, extract_semantic,
-    verify_dfa,
-)
-from .parser import ParseError, parse_term, parse_type
-from .reduction import DEFAULT_FUEL, DecodeError, FuelExhausted, engine
-from .regcompile import (
-    AutomatonError, RegexError, compile_dfa, compile_monoid, dfa_from_json,
-    dfa_to_json, monoid_from_json, regex_to_dfa,
-)
-from .semantics import CapExceeded, POLICY_BASE, POLICY_ERROR, SemanticsUnsupported
-from .syntax import TypeStructureError, print_term, print_type
-from .truncate import TruncationError, truncate_term, truncate_type
+from .syntax import DEFAULT_FUEL, TypeStructureError, print_term, print_type
 from .typecheck import EAL, MUEAL, TypeCheckError, typecheck_closed
+
+# What the subcommands call from the modules that not every subcommand
+# needs.  Each subcommand loads its own (_load), so `eal compile` never
+# compiles the parser, the evaluator or the extraction code.  encode and
+# extract are called through the module, so a caller's replacement of one
+# of their functions is seen.
+_CALLS = {
+    "parser": ("parse_term", "parse_type"),
+    "reduction": ("engine",),
+    "encode": ("encode",),
+    "regcompile": ("compile_dfa", "compile_monoid", "dfa_from_json",
+                   "dfa_to_json", "monoid_from_json", "regex_to_dfa"),
+    "truncate": ("truncate_term", "truncate_type"),
+    "extract": ("extract", "extract_lstar", "verify_dfa"),
+    "semantics": ("POLICY_BASE", "POLICY_ERROR", "extract_semantic"),
+}
+_MODULE_OF = {attr: name for name, attrs in _CALLS.items() for attr in attrs}
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNSUPPORTED = 2
 EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
+
+
+def __getattr__(attr):
+    """Bind and return a name of _CALLS, loading its module.  _load binds
+    a subcommand's names this way; a caller that reads or replaces one of
+    them before that (a test's patch, a tracer's wrapper) comes here."""
+    name = _MODULE_OF.get(attr)
+    if name is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, attr))
+    module = importlib.import_module("." + name, __package__)
+    globals()[attr] = value = module if attr == name else getattr(module, attr)
+    return value
+
+
+def _load(*modules):
+    """Bind the names _CALLS lists for `modules`.  A name already bound is
+    kept, so a wrapper or patch that a caller put in its place stays."""
+    names = globals()
+    for name in modules:
+        for attr in _CALLS[name]:
+            if attr not in names:
+                __getattr__(attr)
+
+
+def _loaded(*names):
+    """The exception classes named "module.Class" whose module has been
+    loaded; an exception of any other cannot have been raised."""
+    found = []
+    for name in names:
+        module, cls = name.split(".")
+        module = sys.modules.get("%s.%s" % (__package__, module))
+        if module is not None:
+            found.append(getattr(module, cls))
+    return tuple(found)
 
 
 def _read(path: str) -> str:
@@ -51,6 +90,7 @@ def _emit(text: str, out: str | None):
 
 
 def _cmd_check(args) -> int:
+    _load("parser")
     term = parse_term(_read(args.file))
     expected = parse_type(args.type) if args.type else None
     ty = typecheck_closed(args.mode, term, expected)
@@ -59,6 +99,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_norm(args) -> int:
+    _load("parser", "reduction")
     term = parse_term(_read(args.file))
     lines = []
     steps = engine(term, args.fuel)  # yields its live frames, returns the normal form
@@ -77,6 +118,7 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    _load("encode")
     if args.string is not None:
         term = encode.church_string(args.string)
     elif args.nat is not None:
@@ -90,6 +132,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_promote(args) -> int:
+    _load("parser", "encode")
     term = parse_term(_read(args.file))
     out = encode.promote(term, args.arity, args.levels, args.mode)
     typecheck_closed(args.mode, out)
@@ -98,6 +141,7 @@ def _cmd_promote(args) -> int:
 
 
 def _cmd_compile(args) -> int:
+    _load("regcompile")
     if args.regex is not None:
         term = compile_dfa(regex_to_dfa(args.regex))
     elif args.dfa is not None:
@@ -110,6 +154,7 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_truncate(args) -> int:
+    _load("parser", "truncate")
     term = parse_term(_read(args.file))
     ty = typecheck_closed(EAL, term)
     out = truncate_term(term)
@@ -119,8 +164,8 @@ def _cmd_truncate(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    _load("parser", "regcompile", "extract")
     term = parse_term(_read(args.file))
-    policy = POLICY_BASE if args.forall_policy == "base" else POLICY_ERROR
     # one oracle, so the re-check reads the extraction's cached verdicts
     query = extract.membership_oracle(term, args.fuel)
     if args.verify is not None:
@@ -129,6 +174,8 @@ def _cmd_extract(args) -> int:
         d = extract_lstar(term, max_len=args.max_len, seed=args.seed,
                           fuel=args.fuel, query=query)
     else:
+        _load("semantics")
+        policy = POLICY_BASE if args.forall_policy == "base" else POLICY_ERROR
         d = extract_semantic(term, base=args.base, policy=policy,
                              cap=args.cap, verify_len=None, fuel=args.fuel,
                              query=query)
@@ -143,6 +190,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _load("parser", "regcompile", "extract")
     term = parse_term(_read(args.file))
     d = dfa_from_json(_read(args.dfa))
     report = verify_dfa(d, term, args.max_len, fuel=args.fuel)
@@ -257,11 +305,13 @@ def main(argv=None) -> int:
     except TypeCheckError as e:
         print(e, file=sys.stderr)  # already formatted as path: kind: message
         return EXIT_INPUT
-    except (ParseError, TypeStructureError, AutomatonError,
-            RegexError, DecodeError, ValueError, OSError) as e:
+    except (TypeStructureError, ValueError, OSError) + _loaded(
+            "parser.ParseError", "regcompile.AutomatonError",
+            "regcompile.RegexError", "reduction.DecodeError") as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
-    except (UnsupportedShape, SemanticsUnsupported, TruncationError) as e:
+    except _loaded("extract.UnsupportedShape", "semantics.SemanticsUnsupported",
+                   "truncate.TruncationError") as e:
         print("unsupported: %s" % e, file=sys.stderr)
         return EXIT_UNSUPPORTED
     except RecursionError:
@@ -269,10 +319,11 @@ def main(argv=None) -> int:
         # the input, so the message is fixed
         print("resource limit: maximum recursion depth exceeded", file=sys.stderr)
         return EXIT_RESOURCE
-    except (FuelExhausted, CapExceeded, MemoryError) as e:
+    except (MemoryError,) + _loaded("reduction.FuelExhausted",
+                                    "semantics.CapExceeded") as e:
         print("resource limit: %s" % (str(e) or "out of memory"), file=sys.stderr)
         return EXIT_RESOURCE
-    except VerificationFailed as e:
+    except _loaded("extract.VerificationFailed") as e:
         print("verification failed: %s" % e, file=sys.stderr)
         return EXIT_VERIFY
 

@@ -3,22 +3,25 @@
 A closed term of type !Str -o !Bool, !Str -o !!Bool or Str -o !Bool decides
 a language over {0,1}; this module recovers a DFA for it.  Two routes:
 
-* extract_semantic: decompose the term so the string argument is consumed
-  at known instantiation types, then breadth-first-search the finitely many
-  word-morphism states over the truncated types (one endomorphism pair
-  table per string occurrence).  Each discovered state is tagged with its
-  shortest witness word and acceptance is decided by actually running the
-  term on the witness, so the result is trustworthy exactly when the state
-  space separates the language classes: guaranteed for quantifier-free
-  instantiation types, heuristic otherwise, and always re-checked by
-  verify_dfa.
+* extract_semantic (in ealc.semantics, beside the finite frames it reads):
+  decompose the term so the string argument is consumed at known
+  instantiation types (decompose_bang_input, here), then
+  breadth-first-search the finitely many word-morphism states over the
+  truncated types (one endomorphism pair table per string occurrence).
+  Each discovered state is tagged with its shortest witness word and
+  acceptance is decided by actually running the term on the witness, so
+  the result is trustworthy exactly when the state space separates the
+  language classes: guaranteed for quantifier-free instantiation types,
+  heuristic otherwise, and always re-checked by verify_dfa.
 
 * extract_lstar: classic observation-table learning against the term as a
   membership oracle, with an equivalence oracle that is exhaustive up to
   max_len and randomized (seeded) beyond it.
 
 The DFA algorithms both routes use (explore, minimize, all_words) live
-beside Dfa in ealc.regcompile.
+beside Dfa in ealc.regcompile.  This module loads neither the finite frames
+nor truncation, so `eal extract --method lstar` and `eal verify` never
+compile them.
 """
 
 from __future__ import annotations
@@ -33,14 +36,7 @@ from .syntax import (
 from .typecheck import Context, MUEAL, typecheck
 from .encode import BOOL, STR, church_string, str_of
 from .reduction import DEFAULT_FUEL, Evaluator, normalize, read_bool, strip_bangs
-from .regcompile import (
-    ALPHABET, Dfa, all_words, explore, minimize, numbered_dfa,
-)
-from .semantics import (
-    CapExceeded, DEFAULT_CAP, EndoMonoid, POLICY_ERROR, capped_power,
-    interp_type, phi_identity,
-)
-from .truncate import truncate_type
+from .regcompile import ALPHABET, Dfa, all_words, minimize
 
 
 class UnsupportedShape(Exception):
@@ -173,66 +169,6 @@ def decompose_bang_input(t: Term, fuel: int = DEFAULT_FUEL) -> Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# Semantic extraction (witness BFS over word-morphism states)
-
-def extract_semantic(t: Term, base: int = 2, policy: str = POLICY_ERROR,
-                     cap: int = DEFAULT_CAP, verify_len: int | None = 10,
-                     fuel: int = DEFAULT_FUEL,
-                     query: Callable[[str], bool] | None = None) -> Dfa:
-    """BFS the tuples of per-occurrence pair tables; acceptance of a state
-    is the term's verdict on its shortest witness word.  Raises CapExceeded
-    when any enumerated space outgrows `cap` and VerificationFailed when
-    the bounded re-check disagrees (only possible for state spaces the
-    heuristic policy failed to separate).  `query` is t's membership
-    oracle when the caller keeps one."""
-    if cap < 1:
-        raise ValueError("cell cap must be >= 1, got %d" % cap)
-    dec = decompose_bang_input(t, fuel)
-    query = query or membership_oracle(t, fuel)
-
-    monoids = []
-    cells_per_state = 0
-    for sigma in dec.sigmas:
-        space = interp_type(truncate_type(sigma), base, policy, cap)
-        # |A| decides both caps, so no table is built when either fails
-        count = capped_power("End(%s)" % print_type(space.ty), space.size,
-                             space.size, cap)
-        if count ** 2 > cap:
-            raise CapExceeded("pair table over End(%s)" % print_type(sigma),
-                              count ** 2, cap)
-        monoids.append(EndoMonoid(space, cap))
-        cells_per_state += count ** 2
-
-    start = tuple(phi_identity(m, cap) for m in monoids)
-    seen = {start}
-
-    def step(state, c):
-        nxt = tuple(tab.then_letter(c, m) for tab, m in zip(state, monoids))
-        seen.add(nxt)
-        if cells_per_state * len(seen) > cap:
-            raise CapExceeded("word-morphism state space",
-                              cells_per_state * len(seen), cap)
-        return nxt
-
-    _, succ = explore(start, step)
-    # BFS numbers states in order of discovery, so state j is new exactly
-    # where it first appears in row order
-    witness = [""]
-    for i, row in enumerate(succ):
-        for c, j in row.items():
-            if j == len(witness):
-                witness.append(witness[i] + c)
-
-    d = minimize(numbered_dfa(
-        succ, [j for j, w in enumerate(witness) if query(w)]))
-    if verify_len is not None:
-        report = _compare(d, query, verify_len)
-        if report.mismatches:
-            raise VerificationFailed(report)
-    return d
-
-
-# ---------------------------------------------------------------------------
 # Learning extraction
 
 RANDOM_SAMPLES = 200  # seeded draws per equivalence pass beyond max_len
@@ -343,10 +279,7 @@ def verify_dfa(d: Dfa, t: Term, max_len: int, fuel: int = DEFAULT_FUEL,
                query: Callable[[str], bool] | None = None) -> VerifyReport:
     """Compare the automaton with the term on every word up to max_len.
     `query` is t's membership oracle when the caller keeps one."""
-    return _compare(d, query or membership_oracle(t, fuel), max_len)
-
-
-def _compare(d: Dfa, query: Callable, max_len: int) -> VerifyReport:
+    query = query or membership_oracle(t, fuel)
     check_length_bound(max_len)
     report = VerifyReport(checked=0, max_len=max_len)
     for w in all_words(max_len):

@@ -13,7 +13,8 @@ open and on erased terms.
 
 Evaluator decides the same booleans without rewriting: it evaluates terms
 to Python values in environments (normalization by evaluation, Berger and
-Schwichtenberg, LICS 1991) and takes words as native values.
+Schwichtenberg, LICS 1991), takes words as native values and shares the
+values of closed subterms across the words it decides.
 """
 
 from __future__ import annotations
@@ -21,12 +22,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .syntax import (
-    App, Bang, BangLam, Fold, Lam, Term, TyApp, TyLam, Unfold, Var,
-    children, erase_annotations, print_term, replace_child, subst_term,
+    DEFAULT_FUEL, App, Bang, BangLam, Fold, Lam, Term, TyApp, TyLam, Unfold,
+    Var, children, erase_annotations, print_term, replace_child, subst_term,
     subst_type_in_term,
 )
-
-DEFAULT_FUEL = 10 ** 6
 
 
 class FuelExhausted(Exception):
@@ -191,6 +190,11 @@ class _Thunk:
         self.term, self.env, self.value = term, env, value
 
 
+# The values that can capture nothing: one of these with env None is
+# fixed by its node alone.
+_CLOSED = (_Closure, _TyClosure)
+
+
 class _Box:
     __slots__ = ("thunk",)
 
@@ -226,6 +230,14 @@ class Evaluator:
     are evaluated before the call; a box is evaluated only when a \\!x
     variable bound to it is used, once.  Each evaluate or decide call may
     make `fuel` contractions and raises FuelExhausted(fuel) past that.
+
+    Values that capture nothing are shared across calls: a closed \\x, \\!x
+    or /\\a node has one value per evaluator, and a \\x value applied to
+    such a value gives a result that depends on the two alone.  When that
+    result captures nothing either, it is kept with the contractions it
+    took, which a repeat charges again, so every call's verdict and fuel
+    use are those of evaluation without the memo.  A box is never shared,
+    so each call still forces and counts its own.
     """
 
     def __init__(self, fuel: int = DEFAULT_FUEL):
@@ -233,6 +245,8 @@ class Evaluator:
             raise ValueError("fuel must be positive")
         self.fuel = fuel
         self._left = fuel
+        self._closed = {}  # closed abstraction node -> its one value
+        self._applied = {}  # (closed f, closed a) -> (f a, contractions made)
 
     def evaluate(self, t: Term):
         """The value of the closed term t."""
@@ -287,14 +301,19 @@ class Evaluator:
                     return self._force(v) if type(v) is _Thunk else v
                 env = env[2]
             return _STUCK  # a free variable
-        if cls is Lam:
-            return _Closure(t.var, t.body, env, False)
-        if cls is BangLam:
-            return _Closure(t.var, t.body, env, True)
+        if cls is Lam or cls is BangLam or cls is TyLam:
+            if t.fvs:
+                if cls is TyLam:
+                    return _TyClosure(t.body, env)
+                return _Closure(t.var, t.body, env, cls is BangLam)
+            v = self._closed.get(t)
+            if v is None:
+                v = (_TyClosure(t.body, None) if cls is TyLam
+                     else _Closure(t.var, t.body, None, cls is BangLam))
+                self._closed[t] = v
+            return v
         if cls is Bang:
             return _Box(_Thunk(t.body, env))
-        if cls is TyLam:
-            return _TyClosure(t.body, env)
         if cls is TyApp:
             f = self._eval(t.fn, env)
             if type(f) is _TyClosure:
@@ -317,6 +336,20 @@ class Evaluator:
     def _apply(self, f, a):
         if type(f) is _Closure:
             if not f.bang:
+                if f.env is None and type(a) in _CLOSED and a.env is None:
+                    # f a depends on f and a alone (see the class doc)
+                    hit = self._applied.get((f, a))
+                    if hit is not None:
+                        self._left -= hit[1]
+                        if self._left < 0:
+                            raise FuelExhausted(self.fuel)
+                        return hit[0]
+                    left = self._left
+                    self._contract()
+                    v = self._eval(f.body, (f.var, a, None))
+                    if type(v) in _CLOSED and v.env is None:
+                        self._applied[(f, a)] = (v, left - self._left)
+                    return v
                 self._contract()
                 return self._eval(f.body, (f.var, a, f.env))
             if type(a) is _Box:

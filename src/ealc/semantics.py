@@ -14,19 +14,26 @@ Values are encoded as indices: an element of B^A with |A|=a, |B|=b is the
 integer sum f(i) * b^i, which keeps tables hashable and composition cheap.
 All enumerated spaces are capped (default 10^6 cells); blowing the cap is
 an error, never a silent truncation.
+
+extract_semantic, at the end, reads a DFA off a deciding term through
+these frames; ealc.extract holds the decomposition and the oracle it uses.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Callable
 
+from . import extract
 from .syntax import (
-    App, Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu, Term, Type,
-    TyApp, TyLam, TyVar, UNIT, Unfold, Var, is_unit, print_term, print_type,
-    subst_type,
+    DEFAULT_FUEL, App, Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu,
+    Term, Type, TyApp, TyLam, TyVar, UNIT, Unfold, Var, is_unit, print_term,
+    print_type, subst_type,
 )
 from .typecheck import EAL, Context, TypeCheckError, typecheck
+from .regcompile import Dfa, explore, minimize, numbered_dfa
+from .truncate import truncate_type
 
 POLICY_ERROR = "error"
 POLICY_BASE = "instantiate-at-base"
@@ -335,3 +342,63 @@ def phi_entry(ty: Type, w: str, g0: FrameValue, g1: FrameValue,
     for c in w:
         acc = monoid.compose(acc, (g0 if c == "0" else g1).index)
     return monoid.value(acc)
+
+
+# ---------------------------------------------------------------------------
+# Semantic extraction (witness BFS over word-morphism states)
+
+def extract_semantic(t: Term, base: int = 2, policy: str = POLICY_ERROR,
+                     cap: int = DEFAULT_CAP, verify_len: int | None = 10,
+                     fuel: int = DEFAULT_FUEL,
+                     query: Callable[[str], bool] | None = None) -> Dfa:
+    """BFS the tuples of per-occurrence pair tables; acceptance of a state
+    is the term's verdict on its shortest witness word.  Raises CapExceeded
+    when any enumerated space outgrows `cap` and VerificationFailed when
+    the bounded re-check disagrees (only possible for state spaces the
+    heuristic policy failed to separate).  `query` is t's membership
+    oracle when the caller keeps one."""
+    if cap < 1:
+        raise ValueError("cell cap must be >= 1, got %d" % cap)
+    dec = extract.decompose_bang_input(t, fuel)
+    query = query or extract.membership_oracle(t, fuel)
+
+    monoids = []
+    cells_per_state = 0
+    for sigma in dec.sigmas:
+        space = interp_type(truncate_type(sigma), base, policy, cap)
+        # |A| decides both caps, so no table is built when either fails
+        count = capped_power("End(%s)" % print_type(space.ty), space.size,
+                             space.size, cap)
+        if count ** 2 > cap:
+            raise CapExceeded("pair table over End(%s)" % print_type(sigma),
+                              count ** 2, cap)
+        monoids.append(EndoMonoid(space, cap))
+        cells_per_state += count ** 2
+
+    start = tuple(phi_identity(m, cap) for m in monoids)
+    seen = {start}
+
+    def step(state, c):
+        nxt = tuple(tab.then_letter(c, m) for tab, m in zip(state, monoids))
+        seen.add(nxt)
+        if cells_per_state * len(seen) > cap:
+            raise CapExceeded("word-morphism state space",
+                              cells_per_state * len(seen), cap)
+        return nxt
+
+    _, succ = explore(start, step)
+    # BFS numbers states in order of discovery, so state j is new exactly
+    # where it first appears in row order
+    witness = [""]
+    for i, row in enumerate(succ):
+        for c, j in row.items():
+            if j == len(witness):
+                witness.append(witness[i] + c)
+
+    d = minimize(numbered_dfa(
+        succ, [j for j, w in enumerate(witness) if query(w)]))
+    if verify_len is not None:
+        report = extract.verify_dfa(d, t, verify_len, fuel, query)
+        if report.mismatches:
+            raise extract.VerificationFailed(report)
+    return d

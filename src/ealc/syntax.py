@@ -6,9 +6,9 @@ optional at the AST level (``None``) so that erased terms live in the same
 representation; the type checker insists on them.
 
 Alongside the two ASTs this module provides the syntactic toolbox everything
-else builds on: capture-avoiding substitution, alpha-equivalence, depth maps,
-the stratification check, occurrence splitting and annotation erasure, and
-the pretty-printers (which round-trip through ealc.parser up to alpha).
+else builds on: capture-avoiding substitution, alpha-equivalence, the
+stratification check, annotation erasure and the pretty-printers (which
+round-trip through ealc.parser up to alpha).
 Term walks share two explicit-stack traversals, preorder and fold_term;
 the printer keeps its own stack, so that it emits text in order.
 """
@@ -16,6 +16,11 @@ the printer keeps its own stack, so that it emits text in order.
 from __future__ import annotations
 
 from collections import namedtuple
+
+
+# The default reduction step budget of every normalizer and evaluator
+# (ealc.reduction), here so that the CLI can show it without loading them.
+DEFAULT_FUEL = 10 ** 6
 
 
 class TypeStructureError(Exception):
@@ -542,12 +547,7 @@ def _opt_ty_aeq(s, t, tl, tr, d):
 
 
 # ---------------------------------------------------------------------------
-# Depth and stratification
-
-def depth_map(t: Term) -> dict:
-    """Map each subterm occurrence (by path) to its bang-nesting depth."""
-    return {path_of(cell): depth for cell, depth, _ in preorder(t)}
-
+# Stratification
 
 def occurrences(t: Term, x: str):
     """Yield the free occurrences of x in t as (cell, depth) pairs, preorder
@@ -598,26 +598,7 @@ def _violation(cell, x, occ, reason):
 
 
 # ---------------------------------------------------------------------------
-# Occurrence splitting and erasure
-
-def split_occurrences(t: Term, x: str):
-    """Replace the free occurrences of x by distinct fresh names x1..xn
-    (left-to-right preorder).  Returns (t', [x1..xn]); substituting x back
-    for each fresh name recovers t."""
-    avoid = set(all_names(t)) | {x}
-    names = []
-
-    def pre(s):
-        if x not in s.fvs:
-            return None, s
-        if isinstance(s, Var):
-            names.append(fresh_name(f"{x}{len(names) + 1}", avoid))
-            avoid.add(names[-1])
-            return None, Var(names[-1])
-        return s, None
-
-    return fold_term(t, pre), names
-
+# Erasure
 
 def _erase_node(s: Term, kids) -> Term:
     match s:

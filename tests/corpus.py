@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from ealc import (
     App, Arrow, Bang, BangLam, BangType, BOOL, Context, EAL, Fold, Lam,
-    MUEAL, NAT, STR, STRS, Term, TyApp, TyLam, TyVar, Var, bool_term, cast_term,
-    church_nat, church_string, compile_dfa, dfa, monoid_elem, monoid_ty,
-    pair, proj, promote, scott_string, typecheck,
+    MUEAL, NAT, STR, STRS, Term, TyApp, TyLam, TyVar, Unfold, Var, bool_term,
+    cast_term, church_nat, church_string, compile_dfa, dfa, monoid_elem,
+    monoid_ty, pair, proj, promote, scott_string, typecheck,
 )
 from ealc.encode import _check_binary
+from ealc.syntax import all_names, fold_term, fresh_name, path_of, preorder
 
 # ---------------------------------------------------------------------------
 # Reference automata (the five acceptance languages)
@@ -155,6 +156,31 @@ def church_to_scott() -> Term:
     return Lam("w", STR, body)
 
 
+def equal_counts_decider() -> Term:
+    """{w : #0(w) = #1(w)}, which no DFA decides, at Str -o !Bool in mueal
+    mode.  The string is iterated at StrS, used as a stack of the surplus
+    letter: a letter pops the other letter or pushes itself, and the word
+    is accepted when the stack ends empty."""
+
+    def cases(s: Term, ty, arm0: Term, arm1: Term, empty: Term) -> Term:
+        return App(App(App(TyApp(Unfold(s), ty), arm0), arm1), empty)
+
+    def step(c: str) -> Term:  # StrS -o StrS
+        push = scott_cons(c)
+        again = Lam("r", STRS, App(push, App(push, Var("r"))))
+        pop = Lam("r", STRS, Var("r"))
+        arm0, arm1 = (again, pop) if c == "0" else (pop, again)
+        return Lam("s", STRS, cases(Var("s"), STRS, arm0, arm1,
+                                    App(push, scott_string(""))))
+
+    drop = Lam("r", STRS, bool_term(False))
+    is_empty = Lam("s", STRS, cases(Var("s"), BOOL, drop, drop, bool_term(True)))
+    stack = App(App(TyApp(Var("w"), STRS), Bang(step("0"))), Bang(step("1")))
+    test = BangLam("g", Arrow(STRS, STRS),
+                   Bang(App(is_empty, App(Var("g"), scott_string("")))))
+    return Lam("w", STR, App(test, stack))
+
+
 def length_plus_one_clock() -> Term:
     """\\!w:Str. !(succ (length w))  :  !Str -o !Nat"""
     body = Bang(App(nat_succ(), App(string_length(), Var("w"))))
@@ -167,6 +193,35 @@ def identity_via_scott() -> Term:
     Paired with a length clock this is the simplest input to
     assemble_fexptime."""
     return promote(church_to_scott(), 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# Walks only the tests use.  Both are quadratic in the depth of the term:
+# depth_map keeps one path per node, and split_occurrences gives every App
+# above an occurrence a new set of free names.
+
+def depth_map(t: Term) -> dict:
+    """Map each subterm occurrence (by path) to its bang-nesting depth."""
+    return {path_of(cell): depth for cell, depth, _ in preorder(t)}
+
+
+def split_occurrences(t: Term, x: str):
+    """Replace the free occurrences of x by distinct fresh names x1..xn
+    (left-to-right preorder).  Returns (t', [x1..xn]); substituting x back
+    for each fresh name recovers t."""
+    avoid = set(all_names(t)) | {x}
+    names = []
+
+    def pre(s):
+        if x not in s.fvs:
+            return None, s
+        if isinstance(s, Var):
+            names.append(fresh_name(f"{x}{len(names) + 1}", avoid))
+            avoid.add(names[-1])
+            return None, Var(names[-1])
+        return s, None
+
+    return fold_term(t, pre), names
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +311,12 @@ def _build():
     add("to-scott", church_to_scott(), MUEAL)
     add("id-via-scott", identity_via_scott(), MUEAL)
     add("clock", length_plus_one_clock(), MUEAL)
+    add("equal-counts-decider", equal_counts_decider(), MUEAL)
     add("redex:cast-2-01", App(App(cast_term(), church_nat(2)),
                                Bang(scott_string("01"))), MUEAL, True)
     add("redex:to-scott", App(church_to_scott(), church_string("10")),
+        MUEAL, True)
+    add("redex:equal-counts", App(equal_counts_decider(), church_string("100")),
         MUEAL, True)
 
     return eal_closed, mueal_closed, reducible

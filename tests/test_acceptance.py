@@ -20,17 +20,17 @@ from ealc import (
     truncate_term, truncate_type, type_alpha_eq, typecheck, typecheck_closed,
     verify_dfa,
 )
+from ealc.cli import main
 from ealc.encode import assemble_fexptime
 from ealc.extract import all_words
 from ealc.reduction import trace
 from ealc.semantics import EndoMonoid, POLICY_ERROR, interp_type
-from ealc.syntax import depth_map
 
 from conftest import record_criterion
 from corpus import (
     EAL_CLOSED, MUEAL_CLOSED, REDUCIBLE, REFERENCE_DFAS, and_term, bangs,
-    const_decider, identity, identity_via_scott, length_plus_one_clock,
-    not_term, or_term,
+    const_decider, depth_map, equal_counts_decider, identity,
+    identity_via_scott, length_plus_one_clock, not_term, or_term,
 )
 
 
@@ -229,3 +229,23 @@ def test_criterion_10_assembly():
     for w in all_words(6):
         out = normalize(App(asm, Bang(church_string(w))))
         assert decode_church_string(out) == w, w
+
+
+@criterion(11, "type fixpoints escape regularity: {#0 = #1} beats EAL and L*")
+def test_criterion_11_type_fixpoints_escape_regularity(tmp_path, capsys):
+    # A muEAL decider of a language no DFA decides.  The EAL gate rejects
+    # it, the finite frames cannot read it, and the DFA L* learns from it
+    # up to length 6 fails verification up to length 10.
+    t = equal_counts_decider()
+    with pytest.raises(TypeCheckError) as e:
+        typecheck_closed(EAL, t)
+    assert e.value.kind == "mu-in-eal-mode"
+    term = tmp_path / "equal-counts.eal"
+    term.write_text(print_term(t) + "\n", encoding="utf-8")
+    learned = tmp_path / "learned.json"
+    assert main(["extract", str(term), "--method", "semantic"]) == 2
+    assert "cannot truncate the fixpoint type" in capsys.readouterr().err
+    assert main(["extract", str(term), "--method", "lstar", "--max-len", "6",
+                 "-o", str(learned)]) == 0
+    assert main(["verify", str(term), "--dfa", str(learned), "--max-len", "10"]) == 4
+    assert "'1111100000': term True, automaton False" in capsys.readouterr().out

@@ -19,7 +19,7 @@ from ealc.semantics import POLICY_BASE, POLICY_ERROR
 
 from corpus import (
     ALL_STRINGS, CONTAINS_11, DIV3, PARITY, REFERENCE_DFAS, const_decider,
-    two_type_uses_decider,
+    equal_counts_decider, two_type_uses_decider,
 )
 
 
@@ -163,7 +163,7 @@ def test_pair_table_cap_is_checked_before_the_end_table(monkeypatch):
     # never built; End(A) over the cap is still reported first
     def unbuilt(space, cap):
         raise AssertionError("End(A) was built")
-    monkeypatch.setattr("ealc.extract.EndoMonoid", unbuilt)
+    monkeypatch.setattr("ealc.semantics.EndoMonoid", unbuilt)
     with pytest.raises(CapExceeded, match=r"^pair table over End\(a\)"):
         extract_semantic(const_decider(True), base=7)
     monkeypatch.undo()
@@ -196,13 +196,15 @@ def _decider(name):
     if kind in ("dfa", "promoted"):
         t = compile_dfa(dict((n, d) for n, d, _ in REFERENCE_DFAS)[rest])
         return t if kind == "dfa" else promote(t, 1, 1, EAL)
-    if kind == "monoid":
+    if kind in ("monoid", "promoted-monoid"):
         regex = "(0|1)*1" + "(0|1)" * int(rest)
-        return compile_monoid(transition_monoid(regex_to_dfa(regex)))
+        t = compile_monoid(transition_monoid(regex_to_dfa(regex)))
+        return t if kind == "monoid" else promote(t, 1, 1, EAL)
     return {"const-true": const_decider(True),
             "const-false-plain": const_decider(False, banged_input=False),
             "two-uses": two_type_uses_decider(),
-            "bang-bool": _bang_bool_decider()}[rest]
+            "bang-bool": _bang_bool_decider(),
+            "equal-counts": equal_counts_decider()}[rest]
 
 
 DECIDERS = ([kind + ":" + n for n, _, _ in REFERENCE_DFAS for kind in ("dfa", "promoted")]
@@ -253,6 +255,17 @@ def test_oracle_fuel(tmp_path, capsys):
     assert membership_oracle(t, fuel=steps)("0110") == PARITY.run("0110")
     with pytest.raises(FuelExhausted):
         membership_oracle(t, fuel=steps - 1)("0110")
+    # a warmed oracle reuses its evaluator's memo and still charges the
+    # query every contraction
+    for fuel in (steps, steps - 1):
+        warm = membership_oracle(t, fuel=fuel)
+        for w in words(3):
+            warm(w)
+        if fuel == steps:
+            assert warm("0110") == PARITY.run("0110")
+        else:
+            with pytest.raises(FuelExhausted):
+                warm("0110")
     with pytest.raises(FuelExhausted):
         Evaluator(fuel=1).evaluate(App(Lam("x", None, Var("x")), App(
             Lam("y", None, Var("y")), Var("z"))))
@@ -295,6 +308,43 @@ def test_evaluator_reads_booleans_as_erasure_does():
             except DecodeError:
                 want = None
             assert evaluator.decide(f, w, True) is want, (print_term(body), w)
+
+
+class _StoresNothing(dict):
+    """A memo that keeps no entry."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+# every decider above, the compiled (0|1)*1(0|1)^k promoted, and the
+# muEAL decider, the only one whose oracle runs fold and unfold
+MEMO_DECIDERS = (DECIDERS + ["promoted-monoid:%d" % k for k in range(5)]
+                 + ["hand:equal-counts"])
+
+
+@pytest.mark.parametrize("name", MEMO_DECIDERS)
+def test_evaluator_memo_keeps_verdicts_and_fuel(name):
+    # the same verdicts and contractions, word by word, as an evaluator
+    # whose memo keeps nothing
+    t = _decider(name)
+    banged = _decision_shape(t) == "bang"
+    memo, plain = Evaluator(), Evaluator()
+    plain._closed, plain._applied = _StoresNothing(), _StoresNothing()
+    runs = []
+    for evaluator in (memo, plain):
+        f = evaluator.evaluate(t)
+        run = [("", evaluator.fuel - evaluator._left)]
+        for w in words(8):
+            verdict = evaluator.decide(f, w, banged)
+            run.append((w, verdict, evaluator.fuel - evaluator._left))
+        runs.append(run)
+    assert runs[0] == runs[1]
+    assert not plain._closed and not plain._applied
+    if not name.startswith("hand:"):
+        # a compiled recognizer's steps map closed monoid elements to
+        # closed monoid elements, so its memo fills
+        assert memo._applied
 
 
 def test_oracle_rejects_non_binary_words():

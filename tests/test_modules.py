@@ -1,8 +1,11 @@
 import ast
 import collections
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import ealc
 
@@ -184,9 +187,7 @@ def test_every_definition_has_a_caller():
         used.update(names)
         if path in files:
             used_in_ealc.update(names)
-    exported = {alias.name
-                for node in ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported = set(ealc.__all__)
     unused = []
     for path in files:
         for node in trees[path].body:
@@ -260,3 +261,44 @@ def test_nodes_are_slotted_and_match_their_constructor():
         if params is None or _class_constant(cls, "__match_args__") != params:
             bad.append("%s: __match_args__ is not %r" % (cls.name, params))
     assert bad == []
+
+
+_RUN_AND_LIST = """
+import runpy, sys
+sys.argv = ["eal"] + sys.argv[1:]
+try:
+    runpy.run_module("ealc.cli", run_name="__main__")
+except SystemExit as e:
+    assert not e.code, e.code
+print(" ".join(sorted(m[5:] for m in sys.modules if m.startswith("ealc."))))
+"""
+
+
+def _modules_loaded_by(argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", _RUN_AND_LIST] + argv, cwd=cwd, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return set(out.splitlines()[-1].split())
+
+
+def test_each_subcommand_loads_only_its_modules(tmp_path):
+    compiled = _modules_loaded_by(["compile", "--regex", "(0|1)*11(0|1)*", "-o", "t.eal"],
+                                  tmp_path)
+    assert compiled == {"syntax", "typecheck", "encode", "regcompile"}
+    for argv in (["extract", "t.eal", "--method", "lstar", "--max-len", "4", "-o", "t.json"],
+                 ["verify", "t.eal", "--dfa", "t.json", "--max-len", "4"]):
+        assert _modules_loaded_by(argv, tmp_path) == compiled | {"parser", "reduction",
+                                                                  "extract"}, argv
+    semantic = _modules_loaded_by(["extract", "t.eal", "--method", "semantic",
+                                   "--forall-policy", "base", "--base", "1"], tmp_path)
+    assert {"semantics", "truncate"} <= semantic
+
+
+def test_every_export_resolves():
+    for name in ealc.__all__:
+        assert getattr(ealc, name) is not None, name
+    assert set(ealc.__all__) <= set(dir(ealc))
+    names = {}
+    exec("from ealc import *", names)
+    assert set(ealc.__all__) <= set(names)
+    assert callable(ealc.typecheck) and ealc.reduction.__name__ == "ealc.reduction"

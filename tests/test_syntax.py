@@ -7,10 +7,10 @@ from ealc import (
     App, Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu, Term,
     TyApp, TyLam, TyVar, Type, TypeStructureError, UNIT, Unfold, Var,
     alpha_eq, bool_term,
-    check_stratification, church_string, decode_church_string, depth_map,
+    check_stratification, church_string, decode_church_string,
     erase_annotations, is_unit, parse_term, parse_type, print_term,
     print_type, ParseError, scott_string,
-    split_occurrences, subst_term, subst_type, truncate_term, type_alpha_eq,
+    subst_term, subst_type, truncate_term, type_alpha_eq,
 )
 from ealc import syntax
 from ealc.syntax import (
@@ -18,7 +18,7 @@ from ealc.syntax import (
     preorder,
 )
 
-from corpus import EAL_CLOSED, MUEAL_CLOSED
+from corpus import EAL_CLOSED, MUEAL_CLOSED, depth_map, split_occurrences
 
 
 # -- parsing ------------------------------------------------------------------

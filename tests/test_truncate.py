@@ -122,7 +122,7 @@ def test_simulation_along_traces():
     # one-step simulation: the truncations of t and t' share a normal form,
     # and a redex at depth >= 1 truncates to syntactically the same term
     from ealc.reduction import trace
-    from ealc import depth_map
+    from corpus import depth_map
     for name, term, mode in REDUCIBLE:
         if mode != EAL:
             continue
