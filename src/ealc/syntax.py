@@ -630,7 +630,13 @@ def _pty(t: Type, prec: int) -> str:
     if cls is TyVar:
         return t.name
     if cls is Arrow:
-        s = "%s -o %s" % (_pty(t.src, 2), _pty(t.dst, 1))
+        # a right-nested chain in a loop: the sources, then the last target
+        parts = []
+        while type(t) is Arrow:
+            parts.append(_pty(t.src, 2))
+            t = t.dst
+        parts.append(_pty(t, 1))
+        s = " -o ".join(parts)
         return "(%s)" % s if prec >= 2 else s
     if cls is BangType:
         return "!" + _pty(t.body, 3)

@@ -11,8 +11,9 @@ maps each name to its zone and type; a binder rebinds its name in place and
 restores the outer entry once its body is checked.  A premise that typechecks
 uses exactly the gamma variables among its free variables, so affine
 splitting of gamma across an application is a disjointness check on free
-variables; delta and theta are shared between the two premises.  The path of
-a failing subterm is assembled only once a check fails.
+variables; delta and theta are shared between the two premises.  The checker
+runs on an explicit stack, so a term of any depth checks, and the path of a
+failing subterm is read off that stack.
 
 A closed term that checked in an empty context is remembered with its type,
 per mode, for as long as the term lives; checking it again, alone or as an
@@ -139,10 +140,7 @@ def typecheck(mode: str, ctx: Context, t: Term) -> Type:
     ty = id(t) in _CHECKED and _recall(mode, env, t)
     if ty:
         return ty
-    try:
-        ty = _infer(mode, env, t)
-    except _Failure as e:
-        raise TypeCheckError(e.kind, tuple(reversed(e.rpath)), e.message) from None
+    ty = _infer(mode, env, t)
     if not env:
         _remember(t, mode, ty)
     return ty
@@ -157,15 +155,13 @@ def typecheck_closed(mode: str, t: Term, expected: Type | None = None) -> Type:
 
 
 class _Failure(Exception):
-    """A TypeCheckError on its way up to typecheck, which adds the path.
-    Each _infer frame it leaves appends the index of the child it came
-    from, so rpath is the failing node's path reversed; no path is built
-    while checking succeeds."""
+    """A TypeCheckError without its path, which _infer reads off its frames
+    when the failure reaches it.  `below` ends the path at a child of the
+    failing node, for an error about that child's type."""
 
-    def __init__(self, kind, message, rpath=None):
+    def __init__(self, kind, message, below=()):
         super().__init__(kind, message)
-        self.kind, self.message = kind, message
-        self.rpath = [] if rpath is None else rpath
+        self.kind, self.message, self.below = kind, message, below
 
 
 def _gate_mu(mode, ty):
@@ -176,187 +172,175 @@ def _gate_mu(mode, ty):
 def _infer(mode, env, t):
     """Return the type of t; env maps each name in scope to (zone, type).
 
-    A binder rebinds its name in env for the body and restores the outer
-    entry afterwards.  When a premise fails, the env is left as it was at
-    the failure: typecheck drops it."""
-    cls = type(t)
+    One loop on a stack of (node, child index, saved) frames.  Going down,
+    a node runs its rule up to its premise and pushes a frame; coming up
+    with the premise's type ty, the frame finishes the rule.  The frames'
+    child indices are the path of the node at hand.  A binder rebinds its
+    name in env and restores the outer entry once its body is checked; on
+    a failure env is left as it was, and typecheck drops it."""
+    frames, ty = [], None
+    try:
+        while True:
+            while ty is not None:  # coming up: finish the top frame's rule (drawn below)
+                if not frames:
+                    return ty
+                t, i, saved = frames.pop()
+                cls = type(t)
+                if cls is App and i == 0:
+                    if type(ty) is not Arrow:
+                        raise _Failure(MISMATCH, "applied term has type %s, not an arrow"
+                                       % print_type(ty), (0,))
+                    arg = t.arg
+                    arg_ty = _recall(mode, env, arg) if id(arg) in _CHECKED else None
+                    if arg_ty is None:
+                        frames.append((t, 1, ty))
+                        t, ty = arg, None
+                        break
+                    saved, ty = ty, arg_ty
+                if cls is App:
+                    # both premises typecheck, so their linear names are the
+                    # linear names among their free variables
+                    fn, arg = t.fn, t.arg
+                    if not fn.fvs.isdisjoint(arg.fvs):
+                        shared = sorted(x for x in fn.fvs & arg.fvs if env[x][0] == LINEAR)
+                        if shared:
+                            raise _Failure(
+                                NONLINEAR, "linear variable%s %s used in both function and "
+                                "argument" % ("s" if len(shared) > 1 else "", ", ".join(shared)))
+                    if not type_alpha_eq(saved.src, ty):
+                        raise _Failure(MISMATCH, "argument has type %s, expected %s"
+                                       % (print_type(ty), print_type(saved.src)), (1,))
+                    ty = saved.dst
+                elif cls is Lam or cls is BangLam:
+                    ty = Arrow(env[t.var][1], ty)
+                    unbind(env, t.var, saved)
+                elif cls is TyApp:
+                    if type(ty) is not Forall:
+                        raise _Failure(MISMATCH, "type application to a term of type %s"
+                                       % print_type(ty), (0,))
+                    ty = subst_type(ty.body, ty.var, t.ty)
+                elif cls is Bang:
+                    env, ty = saved, BangType(ty)
+                elif cls is TyLam:
+                    if not is_strictly_linear(ty):
+                        raise _Failure(CLASS_VIOLATION, "cannot quantify over body of type "
+                                       "%s (not strictly linear)" % print_type(ty))
+                    ty = Forall(saved, ty)
+                elif cls is Fold:
+                    if not type_alpha_eq(ty, saved):
+                        raise _Failure(MISMATCH, "fold body has type %s, expected %s"
+                                       % (print_type(ty), print_type(saved)))
+                    ty = t.ty
+                else:  # Unfold
+                    if type(ty) is not Mu:
+                        raise _Failure(MISMATCH, "unfold of a term of type %s"
+                                       % print_type(ty), (0,))
+                    ty = subst_type(ty.body, ty.var, ty)
 
-    #                      G, x:A | D | H |- t : T
-    # linear abstraction   -------------------------
-    #                      G | D | H |- \x:A. t : A -o T
-    if cls is Lam:
-        x, ann = t.var, t.ty
-        if ann is None:
-            raise _Failure(CLASS_VIOLATION, "binder %s needs a type annotation" % x)
-        _gate_mu(mode, ann)
-        if not is_linear(ann):
-            raise _Failure(CLASS_VIOLATION,
-                           "linear abstraction over non-linear type %s" % print_type(ann))
-        outer = env.get(x)
-        env[x] = (LINEAR, ann)
-        try:
-            ty = _infer(mode, env, t.body)
-        except _Failure as e:
-            e.rpath.append(0)
-            raise
-        unbind(env, x, outer)
-        return Arrow(ann, ty)
+            # going down: run t's rule up to its premise
+            cls = type(t)
 
-    #               G | D | H |- t : S -o T    G' | D | H |- u : S
-    # application   ----------------------------------------------
-    #               G + G' | D | H |- t u : T      (G, G' disjoint)
-    if cls is App:
-        fn, arg = t.fn, t.arg
-        fn_ty = id(fn) in _CHECKED and _recall(mode, env, fn)
-        if not fn_ty:
-            try:
-                fn_ty = _infer(mode, env, fn)
-            except _Failure as e:
-                e.rpath.append(0)
-                raise
-        if type(fn_ty) is not Arrow:
-            raise _Failure(MISMATCH, "applied term has type %s, not an arrow"
-                           % print_type(fn_ty), [0])
-        arg_ty = id(arg) in _CHECKED and _recall(mode, env, arg)
-        if not arg_ty:
-            try:
-                arg_ty = _infer(mode, env, arg)
-            except _Failure as e:
-                e.rpath.append(1)
-                raise
-        # both premises typecheck, so their linear names are the linear
-        # names among their free variables
-        if not fn.fvs.isdisjoint(arg.fvs):
-            shared = sorted(x for x in fn.fvs & arg.fvs if env[x][0] == LINEAR)
-            if shared:
-                raise _Failure(
-                    NONLINEAR, "linear variable%s %s used in both function and argument"
-                    % ("s" if len(shared) > 1 else "", ", ".join(shared)))
-        if not type_alpha_eq(fn_ty.src, arg_ty):
-            raise _Failure(MISMATCH, "argument has type %s, expected %s"
-                           % (print_type(arg_ty), print_type(fn_ty.src)), [1])
-        return fn_ty.dst
+            #               G | D | H |- t : S -o T    G' | D | H |- u : S
+            # application   ----------------------------------------------
+            #               G + G' | D | H |- t u : T      (G, G' disjoint)
+            if cls is App:
+                frames.append((t, 0, None))
+                t = t.fn
+                ty = _recall(mode, env, t) if id(t) in _CHECKED else None
 
-    #                                    -----------------------
-    # variable rules                     G, x:A | D | H |- x : A
-    #                                    G | D | H, x:T |- x : T
-    if cls is Var:
-        x = t.name
-        entry = env.get(x)
-        if entry is None:
-            raise _Failure(UNBOUND, "unbound variable %s" % x)
-        if entry[0] == BANG_BOUND:
-            raise _Failure(
-                ZONE_MISUSE, "%s is bang-bound; it can only be used inside a !(...) body" % x)
-        return entry[1]
+            #                                    -----------------------
+            # variable rules                     G, x:A | D | H |- x : A
+            #                                    G | D | H, x:T |- x : T
+            elif cls is Var:
+                x = t.name
+                entry = env.get(x)
+                if entry is None:
+                    raise _Failure(UNBOUND, "unbound variable %s" % x)
+                if entry[0] == BANG_BOUND:
+                    raise _Failure(
+                        ZONE_MISUSE, "%s is bang-bound; it can only be used inside a !(...) body"
+                        % x)
+                ty = entry[1]
 
-    #                      G | D, x:!S | H |- t : T
-    # bang abstraction     -------------------------
-    #                      G | D | H |- \!x:S. t : !S -o T
-    if cls is BangLam:
-        x, ann = t.var, t.ty
-        if ann is None:
-            raise _Failure(CLASS_VIOLATION, "binder %s needs a type annotation" % x)
-        _gate_mu(mode, ann)
-        banged = BangType(ann)
-        outer = env.get(x)
-        env[x] = (BANG_BOUND, banged)
-        try:
-            ty = _infer(mode, env, t.body)
-        except _Failure as e:
-            e.rpath.append(0)
-            raise
-        unbind(env, x, outer)
-        return Arrow(banged, ty)
+            #                      G, x:A | D | H |- t : T
+            # linear abstraction   -------------------------
+            #                      G | D | H |- \x:A. t : A -o T
+            #
+            #                      G | D, x:!S | H |- t : T
+            # bang abstraction     -------------------------
+            #                      G | D | H |- \!x:S. t : !S -o T
+            elif cls is Lam or cls is BangLam:
+                x, ann = t.var, t.ty
+                if ann is None:
+                    raise _Failure(CLASS_VIOLATION, "binder %s needs a type annotation" % x)
+                _gate_mu(mode, ann)
+                if cls is Lam and not is_linear(ann):
+                    raise _Failure(CLASS_VIOLATION, "linear abstraction over non-linear "
+                                   "type %s" % print_type(ann))
+                frames.append((t, 0, env.get(x)))
+                env[x] = (LINEAR, ann) if cls is Lam else (BANG_BOUND, BangType(ann))
+                t = t.body
 
-    #             0 | 0 | H |- t : S
-    # promotion   ----------------------------     (fv(t) demoted from D)
-    #             G | !H, D | H' |- !t : !S
-    if cls is Bang:
-        body = t.body
-        demoted = {}
-        for x in sorted(body.fvs):
-            zone, ty = env.get(x, ("unbound", None))
-            if zone != BANG_BOUND:
-                raise _Failure(BANG_ESCAPE, "free variable %s of a bang body is %s, "
-                               "not bang-bound" % (x, zone))
-            demoted[x] = (TEMPORARY, ty.body)
-        try:
-            return BangType(_infer(mode, demoted, body))
-        except _Failure as e:
-            e.rpath.append(0)
-            raise
+            #                    G | D | H |- t : forall a. S
+            # quantifier elim    ------------------------------  (A linear)
+            #                    G | D | H |- t [A] : S{a := A}
+            elif cls is TyApp:
+                ann = t.ty
+                _gate_mu(mode, ann)
+                if not is_linear(ann):
+                    raise _Failure(FORALL_NOT_LINEAR, "quantifiers can only be instantiated "
+                                   "at linear types, got %s" % print_type(ann))
+                frames.append((t, 0, None))
+                t = t.fn
 
-    #                    G | D | H |- t : S      (a not free in G, D, H;
-    # quantifier intro   ------------------------   S strictly linear)
-    #                    G | D | H |- /\a. t : forall a. S
-    if cls is TyLam:
-        # The side condition is about the variable, not its name: when
-        # the binder collides with a type variable of the context we
-        # alpha-rename it, so only genuine capture is rejected (by the
-        # strict-linearity check on the synthesized body type below).
-        a, body = t.var, t.body
-        if any(a in ty.ftv for _, ty in env.values()):
-            ctx_ftv = frozenset().union(*(ty.ftv for _, ty in env.values()))
-            a2 = fresh_name(a, ctx_ftv | body.ftv)
-            body = subst_type_in_term(body, a, TyVar(a2))
-            a = a2
-        try:
-            ty = _infer(mode, env, body)
-        except _Failure as e:
-            e.rpath.append(0)
-            raise
-        if not is_strictly_linear(ty):
-            raise _Failure(CLASS_VIOLATION, "cannot quantify over body of type %s "
-                           "(not strictly linear)" % print_type(ty))
-        return Forall(a, ty)
+            #             0 | 0 | H |- t : S
+            # promotion   ----------------------------     (fv(t) demoted from D)
+            #             G | !H, D | H' |- !t : !S
+            elif cls is Bang:
+                demoted = {}
+                for x in sorted(t.body.fvs):
+                    zone, s = env.get(x, ("unbound", None))
+                    if zone != BANG_BOUND:
+                        raise _Failure(BANG_ESCAPE, "free variable %s of a bang body is %s, "
+                                       "not bang-bound" % (x, zone))
+                    demoted[x] = (TEMPORARY, s.body)
+                frames.append((t, 0, env))
+                env, t = demoted, t.body
 
-    #                    G | D | H |- t : forall a. S
-    # quantifier elim    ------------------------------  (A linear)
-    #                    G | D | H |- t [A] : S{a := A}
-    if cls is TyApp:
-        ann = t.ty
-        _gate_mu(mode, ann)
-        if not is_linear(ann):
-            raise _Failure(FORALL_NOT_LINEAR, "quantifiers can only be instantiated "
-                           "at linear types, got %s" % print_type(ann))
-        try:
-            fn_ty = _infer(mode, env, t.fn)
-        except _Failure as e:
-            e.rpath.append(0)
-            raise
-        if type(fn_ty) is not Forall:
-            raise _Failure(MISMATCH, "type application to a term of type %s"
-                           % print_type(fn_ty), [0])
-        return subst_type(fn_ty.body, fn_ty.var, ann)
+            #                    G | D | H |- t : S      (a not free in G, D, H;
+            # quantifier intro   ------------------------   S strictly linear)
+            #                    G | D | H |- /\a. t : forall a. S
+            elif cls is TyLam:
+                # The side condition is about the variable, not its name:
+                # when the binder collides with a type variable of the
+                # context we alpha-rename it, so only genuine capture is
+                # rejected (by the strict-linearity check on the body type).
+                a, body = t.var, t.body
+                if any(a in s.ftv for _, s in env.values()):
+                    ctx_ftv = frozenset().union(*(s.ftv for _, s in env.values()))
+                    a2 = fresh_name(a, ctx_ftv | body.ftv)
+                    body = subst_type_in_term(body, a, TyVar(a2))
+                    a = a2
+                frames.append((t, 0, a))
+                t = body
 
-    # mu-fold / mu-unfold (mueal only)
-    if cls is Fold:
-        ann = t.ty
-        if mode == EAL:
-            raise _Failure(MU_IN_EAL, "fold outside mueal mode")
-        if type(ann) is not Mu:
-            raise _Failure(MISMATCH, "fold annotation %s is not a mu type" % print_type(ann))
-        unrolled = subst_type(ann.body, ann.var, ann)
-        try:
-            ty = _infer(mode, env, t.body)
-        except _Failure as e:
-            e.rpath.append(0)
-            raise
-        if not type_alpha_eq(ty, unrolled):
-            raise _Failure(MISMATCH, "fold body has type %s, expected %s"
-                           % (print_type(ty), print_type(unrolled)))
-        return ann
-    if cls is Unfold:
-        if mode == EAL:
-            raise _Failure(MU_IN_EAL, "unfold outside mueal mode")
-        try:
-            ty = _infer(mode, env, t.body)
-        except _Failure as e:
-            e.rpath.append(0)
-            raise
-        if type(ty) is not Mu:
-            raise _Failure(MISMATCH, "unfold of a term of type %s" % print_type(ty), [0])
-        return subst_type(ty.body, ty.var, ty)
-
-    raise TypeError("not a term: %r" % (t,))
+            # mu-fold / mu-unfold (mueal only)
+            elif cls is Fold:
+                ann = t.ty
+                if mode == EAL:
+                    raise _Failure(MU_IN_EAL, "fold outside mueal mode")
+                if type(ann) is not Mu:
+                    raise _Failure(MISMATCH, "fold annotation %s is not a mu type"
+                                   % print_type(ann))
+                frames.append((t, 0, subst_type(ann.body, ann.var, ann)))
+                t = t.body
+            elif cls is Unfold:
+                if mode == EAL:
+                    raise _Failure(MU_IN_EAL, "unfold outside mueal mode")
+                frames.append((t, 0, None))
+                t = t.body
+            else:
+                raise TypeError("not a term: %r" % (t,))
+    except _Failure as e:
+        raise TypeCheckError(e.kind, tuple(i for _, i, _ in frames) + e.below,
+                             e.message) from None

@@ -9,12 +9,13 @@ from ealc.cli import main
 from ealc import (
     STR, App, Bang, BangLam, alpha_eq, bool_term, cast_term, church_string,
     compile_dfa, dfa_from_json, dfa_to_json, parse_term, print_term,
-    scott_string,
+    print_type, scott_string,
 )
 
 from ealc.reduction import trace
 
 from corpus import CONTAINS_11, DIV3, PARITY, REDUCIBLE, const_decider
+from make_cli_golden import GOLDEN, invocations, transcript
 
 
 def write(path, text):
@@ -356,3 +357,34 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--version"])
     assert e.value.code == 0
+
+
+def test_long_encoded_string_checks(tmp_path, capsys):
+    # the checker runs on an explicit stack, so it reads what encode writes
+    w = "0110" * 2500
+    assert main(["encode", "--string", w, "-o", str(tmp_path / "w.eal")]) == 0
+    assert main(["check", str(tmp_path / "w.eal")]) == 0
+    assert capsys.readouterr() == (print_type(STR) + "\n", "")
+
+
+def test_deep_binder_nest_checks(tmp_path, capsys):
+    # ... and the type printer walks the arrow chain of its type in a loop
+    n = 10 ** 4
+    f = write(tmp_path / "nest.eal", "".join(r"\x%d:a. " % i for i in range(n)) + "x0\n")
+    assert main(["check", f]) == 0
+    assert capsys.readouterr() == ("a -o " * n + "a\n", "")
+
+
+def test_cli_output_matches_the_golden_transcript(tmp_path):
+    # every record of tests/cli_golden.json, replayed in process; a change
+    # that means to alter one regenerates the file (make_cli_golden.py)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(golden["runs"]) >= 300
+    t0 = time.perf_counter()
+    now = transcript(str(tmp_path))
+    seconds = time.perf_counter() - t0
+    assert now["inputs"] == golden["inputs"]
+    assert [r["argv"] for r in golden["runs"]] == invocations()
+    changed = [old["argv"] for old, new in zip(golden["runs"], now["runs"]) if old != new]
+    assert changed == []
+    assert seconds < 10.0, seconds

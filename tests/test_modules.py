@@ -101,19 +101,21 @@ def _recursive(graph):
 
 
 def test_term_walks_do_not_recurse():
-    # Term walks go through syntax.preorder / fold_term, and the parser runs
-    # on its own explicit stacks, so each takes any depth.  A function
-    # counts as recursive when it can call itself, directly, through other
-    # functions of its module or through methods of its class (self.m).
-    # The allowed ones are substitution, which runs on every contraction;
-    # the walks over types, which stay shallow; and the Evaluator, which
-    # recurses as deep as the recognizer it runs, since a word enters it as
-    # a native value that decide folds over in a loop.
+    # Term walks go through syntax.preorder / fold_term, and the parser and
+    # the type checker run on their own explicit stacks, so each takes any
+    # depth.  A function counts as recursive when it can call itself,
+    # directly, through other functions of its module or through methods of
+    # its class (self.m).  The allowed ones are substitution, which runs on
+    # every contraction; the walks over types, which stay shallow (_pty
+    # loops along an arrow chain); and the Evaluator, which recurses as deep
+    # as the recognizer it runs, since a word enters it as a native value
+    # that decide folds over in a loop.
     allowed = {"subst_term", "subst_type_in_term", "subst_type", "_ty_aeq",
                "_pty", "truncate_type",
                "Evaluator._eval", "Evaluator._apply", "Evaluator._force"}
     recursive = []
-    for name in ("syntax.py", "truncate.py", "extract.py", "reduction.py", "parser.py"):
+    for name in ("syntax.py", "truncate.py", "extract.py", "reduction.py", "parser.py",
+                 "typecheck.py"):
         tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
         recursive += ["%s:%s" % (name, f)
                       for f in sorted(_recursive(_call_graph(tree)) - allowed)]

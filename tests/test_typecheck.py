@@ -4,13 +4,14 @@ import importlib
 import pytest
 
 from ealc import (
-    App, Arrow, Bang, BangType, BOOL, Context, EAL, Lam, MUEAL, NAT,
+    App, Arrow, Bang, BangLam, BangType, BOOL, Context, EAL, Lam, MUEAL, NAT,
     STR, STRS, TyApp, TyLam, TyVar, TypeCheckError, Var,
     bool_term, check_stratification, church_string, classify_type,
     compile_monoid, parse_term, parse_type, print_term, print_type, promote,
     regex_to_dfa, scott_string, transition_monoid, type_alpha_eq, typecheck,
     typecheck_closed,
 )
+from ealc.syntax import preorder
 from ealc.typecheck import _CHECKED
 
 typecheck_mod = importlib.import_module("ealc.typecheck")
@@ -292,13 +293,22 @@ def test_memo_gives_the_types_of_a_cold_check():
 def test_memo_skips_a_checked_subterm(monkeypatch):
     t = compile_monoid(transition_monoid(regex_to_dfa(REFERENCE_REGEXES[2])))
     lifted = promote(t, 1, 2, EAL)
-    calls = []
-    infer = typecheck_mod._infer
+    # _infer runs once per check, so count what it does inside: the mu gate,
+    # passed once by every binder and type application, and the memo's hits
+    calls, recalled = [], []
+    gate, recall = typecheck_mod._gate_mu, typecheck_mod._recall
 
-    def counting(mode, env, s):
-        calls.append(s)
-        return infer(mode, env, s)
-    monkeypatch.setattr(typecheck_mod, "_infer", counting)
+    def counting(mode, ty):
+        calls.append(ty)
+        return gate(mode, ty)
+
+    def looking_up(mode, env, s):
+        ty = recall(mode, env, s)
+        if ty:
+            recalled.append(s)
+        return ty
+    monkeypatch.setattr(typecheck_mod, "_gate_mu", counting)
+    monkeypatch.setattr(typecheck_mod, "_recall", looking_up)
     _CHECKED.clear()
     typecheck_closed(EAL, t)
     cold = len(calls)
@@ -306,10 +316,12 @@ def test_memo_skips_a_checked_subterm(monkeypatch):
     typecheck_closed(EAL, t)
     promote(t, 1, 2, EAL)
     assert calls == []
+    del recalled[:]
     typecheck_closed(EAL, lifted)
-    # each level of promotion is \!x1. !(_ x1), four nodes, and t, the
+    # each level of promotion is \!x1. !(_ x1), one binder, and t, the
     # function of the inner application, is looked up instead of checked
-    assert len(calls) == 8 and t not in calls and cold > 100
+    gated = sum(1 for *_, s in preorder(t) if type(s) in (Lam, BangLam, TyApp))
+    assert len(calls) == 2 and recalled == [t] and cold == gated > 90
 
 
 def test_memo_keeps_errors():
@@ -373,3 +385,17 @@ def test_memo_entry_dies_with_its_term():
     del t
     gc.collect()
     assert key not in _CHECKED
+
+
+@pytest.mark.parametrize("spine, step", [("binders", 0), ("arguments", 1)])
+def test_deep_error_paths(spine, step):
+    # the path of a failure is read off the checker's frames: one index per
+    # level, down a spine of binders or of application arguments
+    n = 10 ** 4
+    t = Var("nope")
+    for i in reversed(range(n)):
+        t = Lam("x%d" % i, TyVar("a"), t) if spine == "binders" else App(Var("f"), t)
+    with pytest.raises(TypeCheckError) as e:
+        typecheck_closed(EAL, Lam("f", Arrow(TyVar("a"), TyVar("a")), t))
+    assert (e.value.kind, e.value.path, e.value.message) == \
+        ("unbound-variable", (0,) + (step,) * n, "unbound variable nope")
