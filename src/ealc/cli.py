@@ -12,6 +12,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import sys
 
@@ -199,8 +200,10 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse would wrap usage and help text at the terminal's width
+    fixed_width = functools.partial(argparse.HelpFormatter, width=78)
     p = argparse.ArgumentParser(
-        prog="eal",
+        prog="eal", formatter_class=fixed_width,
         description="Elementary affine lambda-calculus toolkit: check, "
                     "normalize, encode, compile regular languages to terms, "
                     "truncate, extract automata back out.")
@@ -295,6 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_fuel(sp)
     sp.set_defaults(fn=_cmd_verify)
 
+    for sp in sub.choices.values():
+        sp.formatter_class = fixed_width
     return p
 
 

@@ -13,7 +13,8 @@ under it against the terms themselves.
 Values are encoded as indices: an element of B^A with |A|=a, |B|=b is the
 integer sum f(i) * b^i, which keeps tables hashable and composition cheap.
 All enumerated spaces are capped (default 10^6 cells); blowing the cap is
-an error, never a silent truncation.
+an error, never a silent truncation.  interp_type is a fold over the type
+(syntax.fold_term), so a type of any depth is interpreted.
 
 extract_semantic, at the end, reads a DFA off a deciding term through
 these frames; ealc.extract holds the decomposition and the oracle it uses.
@@ -28,8 +29,8 @@ from collections.abc import Callable
 from . import extract
 from .syntax import (
     DEFAULT_FUEL, App, Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu,
-    Term, Type, TyApp, TyLam, TyVar, UNIT, Unfold, Var, is_unit, print_term,
-    print_type, subst_type,
+    Term, Type, TyApp, TyLam, TyVar, UNIT, Unfold, Var, fold_term, is_unit,
+    print_term, print_type, subst_type,
 )
 from .typecheck import EAL, Context, TypeCheckError, typecheck
 from .regcompile import Dfa, explore, minimize, numbered_dfa
@@ -55,15 +56,15 @@ class CapExceeded(Exception):
         self.cap = cap
 
 
-def capped_power(what: str, base: int, digits: int, cap: int) -> int:
-    """base ** digits, the size of a space of digit tuples, or CapExceeded
-    when that passes cap.  A power past 14,000 bits (over 4,000 digits)
-    is named as base^digits and never computed."""
+def capped_power(what: str, ty: Type, base: int, digits: int, cap: int) -> int:
+    """base ** digits, the size of the space named what % ty, or CapExceeded
+    when that passes cap.  A power past 14,000 bits (over 4,000 digits) is
+    named as base^digits and never computed."""
     if digits * math.log2(base) > max(14_000, cap.bit_length() + 1):
-        raise CapExceeded(what, "%d^%d" % (base, digits), cap)
+        raise CapExceeded(what % print_type(ty), "%d^%d" % (base, digits), cap)
     cells = base ** digits
     if cells > cap:
-        raise CapExceeded(what, cells, cap)
+        raise CapExceeded(what % print_type(ty), cells, cap)
     return cells
 
 
@@ -117,29 +118,35 @@ def interp_type(ty: Type, base: int = 2, policy: str = POLICY_ERROR,
         raise ValueError("cell cap must be >= 1, got %d" % cap)
     if policy not in POLICIES:
         raise ValueError("unknown forall policy %r" % policy)
-    if is_unit(ty):
-        return FiniteSet(1, ty)
-    match ty:
-        case TyVar():
-            return FiniteSet(base, ty)
-        case Arrow(src, dst):
-            d = interp_type(src, base, policy, cap)
-            c = interp_type(dst, base, policy, cap)
-            size = capped_power("function space %s" % print_type(ty),
-                                c.size, d.size, cap)
-            return FnSet(size, ty, d, c)
-        case Forall(_, body):
-            if policy == POLICY_ERROR:
-                raise SemanticsUnsupported(
-                    "quantified type %s (policy error)" % print_type(ty))
-            inner = interp_type(body, base, policy, cap)
-            return FiniteSet(inner.size, ty) if not isinstance(inner, FnSet) \
-                else FnSet(inner.size, ty, inner.dom, inner.cod)
-        case BangType(_):
-            raise SemanticsUnsupported("banged type %s (truncate first)" % print_type(ty))
-        case Mu():
-            raise SemanticsUnsupported("fixpoint type %s" % print_type(ty))
-    raise TypeError(ty)
+
+    def enter(ty):
+        if is_unit(ty):
+            return None, FiniteSet(1, ty)
+        match ty:
+            case TyVar():
+                return None, FiniteSet(base, ty)
+            case Arrow():
+                return ty, None
+            case Forall():
+                if policy == POLICY_ERROR:
+                    raise SemanticsUnsupported(
+                        "quantified type %s (policy error)" % print_type(ty))
+                return ty, None
+            case BangType(_):
+                raise SemanticsUnsupported("banged type %s (truncate first)" % print_type(ty))
+            case Mu():
+                raise SemanticsUnsupported("fixpoint type %s" % print_type(ty))
+        raise TypeError(ty)
+
+    def space(ty, kids):
+        if type(ty) is Arrow:
+            d, c = kids
+            return FnSet(capped_power("function space %s", ty, c.size, d.size, cap), ty, d, c)
+        inner, = kids
+        return FiniteSet(inner.size, ty) if not isinstance(inner, FnSet) \
+            else FnSet(inner.size, ty, inner.dom, inner.cod)
+
+    return fold_term(ty, enter, space)
 
 
 def unit_point() -> FrameValue:
@@ -263,7 +270,7 @@ class EndoMonoid:
 
     def __init__(self, space: FiniteSet, cap: int = DEFAULT_CAP):
         a = space.size
-        count = capped_power("End(%s)" % print_type(space.ty), a, a, cap)
+        count = capped_power("End(%s)", space.ty, a, a, cap)
         self.space = space
         self.fns = FnSet(count, Arrow(space.ty, space.ty), space, space)
         self.count = count
@@ -367,8 +374,7 @@ def extract_semantic(t: Term, base: int = 2, policy: str = POLICY_ERROR,
     for sigma in dec.sigmas:
         space = interp_type(truncate_type(sigma), base, policy, cap)
         # |A| decides both caps, so no table is built when either fails
-        count = capped_power("End(%s)" % print_type(space.ty), space.size,
-                             space.size, cap)
+        count = capped_power("End(%s)", space.ty, space.size, space.size, cap)
         if count ** 2 > cap:
             raise CapExceeded("pair table over End(%s)" % print_type(sigma),
                               count ** 2, cap)

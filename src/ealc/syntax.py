@@ -9,13 +9,14 @@ Alongside the two ASTs this module provides the syntactic toolbox everything
 else builds on: capture-avoiding substitution, alpha-equivalence, the
 stratification check, annotation erasure and the pretty-printers (which
 round-trip through ealc.parser up to alpha).
-Term walks share two explicit-stack traversals, preorder and fold_term;
-the printer keeps its own stack, so that it emits text in order.
+Walks run on explicit stacks and take both sorts where they can: preorder
+visits a term, while fold_term, alpha_eq and the printer take terms and types.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import is_
 
 
 # The default reduction step budget of every normalizer and evaluator
@@ -281,15 +282,33 @@ def replace_child(t: Term, i: int, c: Term) -> Term:
     raise TypeError(t)
 
 
-def rebuild(t: Term, kids) -> Term:
-    """t with its children replaced by kids; t itself when none changed."""
-    if all(new is old for new, old in zip(kids, children(t))):
+def _parts(node) -> tuple:
+    """node's children: a term's subterms, or a type's fields."""
+    cls = type(node)
+    if cls is Arrow:
+        return (node.src, node.dst)
+    if cls is BangType or cls is Forall or cls is Mu:
+        return (node.body,)
+    if cls is TyVar:
+        return ()
+    return children(node)
+
+
+def rebuild(t, kids):
+    """t, a term or a type, with its children replaced by kids; t itself
+    when none changed."""
+    if all(map(is_, kids, _parts(t))):
         return t
-    return App(*kids) if isinstance(t, App) else replace_child(t, 0, kids[0])
+    cls = type(t)
+    if cls is App or cls is Arrow:
+        return cls(*kids)
+    if isinstance(t, Term):
+        return replace_child(t, 0, kids[0])
+    return BangType(kids[0]) if cls is BangType else cls(t.var, kids[0])
 
 
-# The term walks below run on an explicit stack, so a term as deep as a
-# long Church string never meets the interpreter's recursion limit.
+# The walks below run on an explicit stack, so a term or a type as deep as
+# a long Church string never meets the interpreter's recursion limit.
 
 def preorder(t: Term, enter=None):
     """Yield (cell, bang_depth, s) for each subterm occurrence s of t in
@@ -319,21 +338,21 @@ def path_of(cell) -> Path:
     return tuple(path)
 
 
-def fold_term(t: Term, pre, post=rebuild):
-    """Fold t bottom-up.  pre(s) is called on each subterm s in preorder
-    and returns (None, r) when r is the result for s, or (node, None) when
-    the result for s is post(node, [the results for node's children])."""
+def fold_term(t, pre, post=rebuild):
+    """Fold t, a term or a type, bottom-up.  pre(s) is called on each node s
+    in preorder and returns (None, r) when r is the result for s, or (node,
+    None) when it is post(node, [the results for node's children])."""
     results = []
-    stack = [t]  # subterms to visit, and (node, index) pairs to assemble
+    stack = [t]  # nodes to visit, and (node, index) pairs to assemble
     while stack:
         item = stack.pop()
-        if isinstance(item, Term):
+        if type(item) is not tuple:
             node, r = pre(item)
             if node is None:
                 results.append(r)
             else:
                 stack.append((node, len(results)))
-                stack.extend(reversed(children(node)))
+                stack.extend(reversed(_parts(node)))
         else:
             node, k = item
             r = post(node, results[k:])
@@ -361,23 +380,27 @@ def all_names(t: Term) -> frozenset:
 # Substitution (capture-avoiding)
 
 def subst_type(t: Type, a: str, repl: Type) -> Type:
+    """t{a := repl}, renaming binders that would capture repl's variables.
+    A fold: it calls itself only to rename a binder."""
     if a not in t.ftv:
         return t
-    cls = type(t)
-    if cls is TyVar:
-        return repl if t.name == a else t
-    if cls is Arrow:
-        return Arrow(subst_type(t.src, a, repl), subst_type(t.dst, a, repl))
-    if cls is BangType:
-        return BangType(subst_type(t.body, a, repl))
-    if cls is Forall or cls is Mu:
-        var, body = t.var, t.body
-        if var in repl.ftv:
-            var2 = fresh_name(var, repl.ftv | body.ftv)
-            body = subst_type(body, var, TyVar(var2))
-            var = var2
-        return cls(var, subst_type(body, a, repl))
-    raise TypeError(t)
+    if type(t) is TyVar:
+        return repl
+
+    def enter(s):
+        if a not in s.ftv:
+            return None, s
+        cls = type(s)
+        if cls is TyVar:
+            return None, repl
+        if (cls is Forall or cls is Mu) and s.var in repl.ftv:
+            var = fresh_name(s.var, repl.ftv | s.body.ftv)
+            return cls(var, subst_type(s.body, s.var, TyVar(var))), None
+        if cls is Arrow or cls is BangType or cls is Forall or cls is Mu:
+            return s, None
+        raise TypeError(s)
+
+    return fold_term(t, enter)
 
 
 def subst_term(t: Term, x: str, u: Term) -> Term:
@@ -463,40 +486,7 @@ def subst_type_in_term(t: Term, a: str, repl: Type) -> Term:
 # Alpha-equivalence
 
 def type_alpha_eq(s: Type, t: Type) -> bool:
-    return _ty_aeq(s, t, {}, {}, 0)
-
-
-def _ty_aeq(s, t, envl, envr, depth):
-    """Whether s and t are alpha-equal, where envl and envr map each type
-    variable bound around s and t to the depth of its binder.  A binder
-    extends both dicts and restores them when its body is done."""
-    if s is t and isinstance(s, Type):
-        # one subtree: equal iff its free variables name the same binders
-        for a in s.ftv:
-            if envl.get(a) != envr.get(a):
-                return False
-        return True
-    cls = type(s)
-    if type(t) is not cls:
-        return False
-    if cls is Arrow:
-        return (_ty_aeq(s.src, t.src, envl, envr, depth)
-                and _ty_aeq(s.dst, t.dst, envl, envr, depth))
-    if cls is TyVar:
-        a, b = s.name, t.name
-        la, lb = envl.get(a), envr.get(b)
-        return la == lb if (la is not None or lb is not None) else a == b
-    if cls is BangType:
-        return _ty_aeq(s.body, t.body, envl, envr, depth)
-    if cls is Forall or cls is Mu:
-        a, b = s.var, t.var
-        outer_a, outer_b = envl.get(a), envr.get(b)
-        envl[a] = envr[b] = depth
-        eq = _ty_aeq(s.body, t.body, envl, envr, depth + 1)
-        unbind(envl, a, outer_a)
-        unbind(envr, b, outer_b)
-        return eq
-    return False
+    return s is t or alpha_eq(s, t)
 
 
 def unbind(env: dict, name: str, outer) -> None:
@@ -508,42 +498,61 @@ def unbind(env: dict, name: str, outer) -> None:
         env[name] = outer
 
 
-def alpha_eq(s: Term, t: Term) -> bool:
-    # A stack of node pairs, each with its binder environments: term and
-    # type variables map to the binder depth that bound them.
-    stack = [(s, t, {}, {}, {}, {}, 0)]
-    while stack:
-        s, t, el, er, tl, tr, d = stack.pop()
-        ok = True
-        match s, t:
-            case Var(x), Var(y):
-                lx, ly = el.get(x), er.get(y)
-                ok = lx == ly if (lx is not None or ly is not None) else x == y
-            case ((Lam(x, ts, b1), Lam(y, tt, b2))
-                  | (BangLam(x, ts, b1), BangLam(y, tt, b2))):
-                ok = _opt_ty_aeq(ts, tt, tl, tr, d)
-                stack.append((b1, b2, {**el, x: d}, {**er, y: d}, tl, tr, d + 1))
-            case App(f1, a1), App(f2, a2):
-                stack.append((a1, a2, el, er, tl, tr, d))
-                stack.append((f1, f2, el, er, tl, tr, d))
-            case (Bang(b1), Bang(b2)) | (Unfold(b1), Unfold(b2)):
-                stack.append((b1, b2, el, er, tl, tr, d))
-            case TyLam(a, b1), TyLam(b, b2):
-                stack.append((b1, b2, el, er, {**tl, a: d}, {**tr, b: d}, d + 1))
-            case (TyApp(b1, t1), TyApp(b2, t2)) | (Fold(t1, b1), Fold(t2, b2)):
-                ok = _ty_aeq(t1, t2, tl, tr, d)
-                stack.append((b1, b2, el, er, tl, tr, d))
-            case _:
-                return False
-        if not ok:
+def alpha_eq(s, t) -> bool:
+    """Whether s and t, two terms or two types, are alpha-equal."""
+    # One loop over node pairs: it goes on with one child pair and pushes the
+    # others.  Each side maps the type (tl, tr) and term (el, er) variables
+    # bound around the pair at hand to their binder pair's number (a free name
+    # stands for itself); a binder pair pushes frames that restore the dicts.
+    tl, tr, el, er = {}, {}, {}, {}
+    binders = 0
+    stack = []
+    while True:
+        cls = type(s)
+        if type(t) is not cls:
             return False
-    return True
-
-
-def _opt_ty_aeq(s, t, tl, tr, d):
-    if s is None or t is None:
-        return s is None and t is None
-    return _ty_aeq(s, t, tl, tr, d)
+        if s is t and isinstance(s, Type):
+            # one subtree: equal iff its free variables name the same binders
+            for a in s.ftv:
+                if tl.get(a) != tr.get(a):
+                    return False
+        elif cls is Arrow:
+            stack.append((s.dst, t.dst))
+            s, t = s.src, t.src
+            continue
+        elif cls is TyVar:
+            if tl.get(s.name, s.name) != tr.get(t.name, t.name):
+                return False
+        elif cls is Forall or cls is Mu or cls is TyLam:
+            binders += 1
+            stack.append(((tl, s.var, tl.get(s.var)), (tr, t.var, tr.get(t.var))))
+            tl[s.var] = tr[t.var] = binders
+            s, t = s.body, t.body
+            continue
+        elif cls is BangType or cls is Bang or cls is Unfold:
+            s, t = s.body, t.body
+            continue
+        elif cls is tuple:  # the frames of a binder pair whose bodies are done
+            unbind(*s)
+            unbind(*t)
+        elif cls is Var:
+            if el.get(s.name, s.name) != er.get(t.name, t.name):
+                return False
+        elif cls is App or cls is TyApp or cls is Fold:
+            stack.append((s.arg, t.arg) if cls is App else (s.ty, t.ty))
+            s, t = (s.body, t.body) if cls is Fold else (s.fn, t.fn)
+            continue
+        elif cls is Lam or cls is BangLam:
+            binders += 1
+            stack += (((el, s.var, el.get(s.var)), (er, t.var, er.get(t.var))), (s.ty, t.ty))
+            el[s.var] = er[t.var] = binders
+            s, t = s.body, t.body
+            continue
+        elif s is not None:  # None: two binders without annotations
+            return False
+        if not stack:
+            return True
+        s, t = stack.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -618,50 +627,28 @@ def erase_annotations(t: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Printing.  Precedence levels: 0 = binder bodies extend right, 1 =
-# application spines, 2 = prefix (! / fold / unfold), 3 = atoms.
+# Printing.  Precedence of a position: 0 = binder bodies extend right, 1 =
+# function or arrow target, 2 = argument, arrow source or annotation, 3 =
+# under a prefix (! / fold / unfold).
 
 def print_type(t: Type) -> str:
-    return _pty(t, 0)
-
-
-def _pty(t: Type, prec: int) -> str:
-    cls = type(t)
-    if cls is TyVar:
-        return t.name
-    if cls is Arrow:
-        # a right-nested chain in a loop: the sources, then the last target
-        parts = []
-        while type(t) is Arrow:
-            parts.append(_pty(t.src, 2))
-            t = t.dst
-        parts.append(_pty(t, 1))
-        s = " -o ".join(parts)
-        return "(%s)" % s if prec >= 2 else s
-    if cls is BangType:
-        return "!" + _pty(t.body, 3)
-    if cls is Forall or cls is Mu:
-        if is_unit(t):
-            return "1"
-        s = "%s %s. %s" % ("forall" if cls is Forall else "mu", t.var, _pty(t.body, 0))
-        return "(%s)" % s if prec >= 1 else s
-    raise TypeError(t)
+    if not isinstance(t, Type):
+        raise TypeError(t)
+    return _print(t, 0)
 
 
 def print_term(t: Term) -> str:
+    if not isinstance(t, Term):
+        raise TypeError(t)
+    return _print(t, 0)
+
+
+def _print(t, prec: int) -> str:
+    """The text of t, a term or a type, at a position of precedence prec."""
     # One list of text pieces, filled from an explicit stack of pieces and
-    # (subterm, precedence of its position) pairs, so printing is linear.
-    # Subterms share their type annotations, so each type is printed once.
+    # (node, precedence of its position) pairs, so printing is linear.
     out = []
-    stack = [(t, 0)]
-    types = {}
-
-    def ty_text(ty, prec):
-        text = types.get((ty, prec))
-        if text is None:
-            text = types[ty, prec] = _pty(ty, prec)
-        return text
-
+    stack = [(t, prec)]
     while stack:
         item = stack.pop()
         if type(item) is str:
@@ -672,36 +659,41 @@ def print_term(t: Term) -> str:
         level = _PRINT_LEVEL.get(cls)
         if level is None:
             raise TypeError(t)
+        if cls is Forall and is_unit(t):
+            out.append("1")
+            continue
         if prec >= level:
             out.append("(")
             stack.append(")")
-        if cls is App:
-            stack += ((t.arg, 2), " ", (t.fn, 1))
-        elif cls is Var:
+        if cls is Var or cls is TyVar:
             out.append(t.name)
-        elif cls is Lam or cls is BangLam:
-            ann = "" if t.ty is None else ":" + ty_text(t.ty, 2)
-            out.append("%s%s%s. " % ("\\" if cls is Lam else "\\!", t.var, ann))
-            stack.append((t.body, 0))
-        elif cls is TyLam:
-            out.append("/\\%s. " % t.var)
-            stack.append((t.body, 0))
+        elif cls in _BINDER_TEXT:  # with its annotation, if it has one
+            out.append(_BINDER_TEXT[cls] % t.var)
+            stack += ((t.body, 0), ". ")
+            ty = t.ty if cls is Lam or cls is BangLam else None
+            if type(ty) is TyVar:  # most annotations: printed at once
+                out.append(":" + ty.name)
+            elif ty is not None:
+                stack += ((ty, 2), ":")
+        elif cls is App:
+            stack += ((t.arg, 2), " ", (t.fn, 1))
+        elif cls is Arrow:
+            stack += ((t.dst, 1), " -o ", (t.src, 2))
         elif cls is TyApp:
-            stack += (" [%s]" % ty_text(t.ty, 0), (t.fn, 1))
-        elif cls is Bang:
-            out.append("!")
-            stack.append((t.body, 3))
+            stack += ("]", (t.ty, 0), " [", (t.fn, 1))
         elif cls is Fold:
-            out.append("fold[%s] " % ty_text(t.ty, 0))
-            stack.append((t.body, 3))
+            out.append("fold[")
+            stack += ((t.body, 3), "] ", (t.ty, 0))
         else:
-            out.append("unfold ")
+            out.append("unfold " if cls is Unfold else "!")
             stack.append((t.body, 3))
     return "".join(out)
 
 
 # The least precedence at which a node's text needs parentheses: binders
-# extend right, application spines and prefix forms bind tighter, and
-# variables and bangs never need them.
-_PRINT_LEVEL = {Lam: 1, BangLam: 1, TyLam: 1, App: 2, TyApp: 2, Fold: 2,
-                Unfold: 2, Var: 4, Bang: 4}
+# extend right, application spines, arrows and prefix forms bind tighter,
+# and variables, bangs and the unit 1 never need them.
+_PRINT_LEVEL = {Lam: 1, BangLam: 1, TyLam: 1, Forall: 1, Mu: 1, App: 2, TyApp: 2,
+                Fold: 2, Unfold: 2, Arrow: 2, Var: 4, Bang: 4, TyVar: 4, BangType: 4}
+_BINDER_TEXT = {Lam: "\\%s", BangLam: "\\!%s", TyLam: "/\\%s", Forall: "forall %s",
+                Mu: "mu %s"}

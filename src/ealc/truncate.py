@@ -6,7 +6,8 @@ abstraction over 1 (its variable can only have occurred inside bangs, which
 are now identities, so it is dead).  The output is exponential-free, and
 for well-typed input it typechecks at the truncated type and normalizes in
 lock-step with the source; both facts are exercised by the test suite
-rather than assumed.
+rather than assumed.  Both truncations are folds (syntax.fold_term) that
+share one pre-function, so a term or a type of any depth truncates.
 
 Truncation is defined for the calculus without type fixpoints; terms or
 types mentioning mu are rejected.
@@ -15,8 +16,8 @@ types mentioning mu are rejected.
 from __future__ import annotations
 
 from .syntax import (
-    Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu, Term, Type, TyApp,
-    TyLam, TyVar, UNIT, Unfold, Var, fold_term, print_type, rebuild,
+    Bang, BangLam, BangType, Fold, Lam, Mu, Term, Type, TyApp, TyLam, TyVar,
+    UNIT, Unfold, Var, fold_term, print_type, rebuild,
 )
 
 
@@ -25,26 +26,21 @@ class TruncationError(Exception):
 
 
 def truncate_type(t: Type) -> Type:
-    match t:
-        case TyVar():
-            return t
-        case BangType(_):
-            return UNIT
-        case Arrow(src, dst):
-            return Arrow(truncate_type(src), truncate_type(dst))
-        case Forall(a, body):
-            return Forall(a, truncate_type(body))
-        case Mu():
-            raise TruncationError("cannot truncate the fixpoint type %s" % print_type(t))
-    raise TypeError(t)
+    if not isinstance(t, Type):
+        raise TypeError(t)
+    return fold_term(t, _truncate_pre)
 
 
 def _unit_id() -> Term:
     return TyLam("a", Lam("x", TyVar("a"), Var("x")))
 
 
-def _truncate_pre(s: Term):
+def _truncate_pre(s):
     match s:
+        case BangType(_):
+            return None, UNIT
+        case Mu():
+            raise TruncationError("cannot truncate the fixpoint type %s" % print_type(s))
         case Bang(_):
             return None, _unit_id()
         case BangLam(x, _, body):

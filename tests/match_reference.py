@@ -1,6 +1,6 @@
 """Reference copies of the functions of the contraction path, of the type
-printer and of the type checker, written with class-pattern `match` as the
-library had them
+printer, of alpha-equivalence and of the type checker, written with
+class-pattern `match` as the library had them
 before it dispatched on type(t).  test_dispatch.py compares the library
 against them.  Each copy calls the other copies, never the library's
 versions."""
@@ -242,6 +242,41 @@ def _ty_aeq(s, t, envl, envr, depth):
         case Mu(a, s1), Mu(b, t1):
             return _ty_aeq(s1, t1, {**envl, a: depth}, {**envr, b: depth}, depth + 1)
     return False
+
+
+def alpha_eq(s, t):
+    # A stack of node pairs, each with its binder environments: term and
+    # type variables map to the binder depth that bound them.
+    stack = [(s, t, {}, {}, {}, {}, 0)]
+    while stack:
+        s, t, el, er, tl, tr, d = stack.pop()
+        ok = True
+        match s, t:
+            case Var(x), Var(y):
+                lx, ly = el.get(x), er.get(y)
+                ok = lx == ly if (lx is not None or ly is not None) else x == y
+            case ((Lam(x, ts, b1), Lam(y, tt, b2))
+                  | (BangLam(x, ts, b1), BangLam(y, tt, b2))):
+                if ts is None or tt is None:
+                    ok = ts is None and tt is None
+                else:
+                    ok = _ty_aeq(ts, tt, tl, tr, d)
+                stack.append((b1, b2, {**el, x: d}, {**er, y: d}, tl, tr, d + 1))
+            case App(f1, a1), App(f2, a2):
+                stack.append((a1, a2, el, er, tl, tr, d))
+                stack.append((f1, f2, el, er, tl, tr, d))
+            case (Bang(b1), Bang(b2)) | (Unfold(b1), Unfold(b2)):
+                stack.append((b1, b2, el, er, tl, tr, d))
+            case TyLam(a, b1), TyLam(b, b2):
+                stack.append((b1, b2, el, er, {**tl, a: d}, {**tr, b: d}, d + 1))
+            case (TyApp(b1, t1), TyApp(b2, t2)) | (Fold(t1, b1), Fold(t2, b2)):
+                ok = _ty_aeq(t1, t2, tl, tr, d)
+                stack.append((b1, b2, el, er, tl, tr, d))
+            case _:
+                return False
+        if not ok:
+            return False
+    return True
 
 
 def _gate_mu(mode, ty, path):

@@ -375,6 +375,40 @@ def test_deep_binder_nest_checks(tmp_path, capsys):
     assert capsys.readouterr() == ("a -o " * n + "a\n", "")
 
 
+CHAIN = "a -o " * 10 ** 4 + "a"
+
+
+def test_deep_arrow_chain_checks_and_truncates(tmp_path, capsys):
+    # types go through the same explicit-stack walks as terms: an argument
+    # type is compared, and a type printed and truncated, at any depth
+    f = write(tmp_path / "apply.eal", r"\f:(%s) -o a. \x:%s. f x" % (CHAIN, CHAIN) + "\n")
+    assert main(["check", f]) == 0
+    assert capsys.readouterr() == ("((%s) -o a) -o (%s) -o a\n" % (CHAIN, CHAIN), "")
+    f = write(tmp_path / "id.eal", r"\x:%s. x" % CHAIN + "\n")
+    assert main(["truncate", f]) == 0
+    assert capsys.readouterr() == (
+        "\\x:(%s). x\n-- type: (%s) -o %s\n" % (CHAIN, CHAIN, CHAIN), "")
+
+
+def test_deep_bang_annotation_is_a_class_violation(tmp_path, capsys):
+    bangs = "!" * 10 ** 4 + "a"
+    f = write(tmp_path / "bangs.eal", r"\x:%s. x" % bangs + "\n")
+    assert main(["check", f]) == 1
+    assert capsys.readouterr() == (
+        "", "/: class-violation: linear abstraction over non-linear type %s\n" % bangs)
+
+
+def test_usage_text_does_not_depend_on_the_terminal(monkeypatch, capsys):
+    errors = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as e:
+            main(["extract", "x.eal"])
+        assert e.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "usage: eal extract" in errors[0]
+
+
 def test_cli_output_matches_the_golden_transcript(tmp_path):
     # every record of tests/cli_golden.json, replayed in process; a change
     # that means to alter one regenerates the file (make_cli_golden.py)

@@ -11,16 +11,16 @@ import pytest
 
 from ealc import (
     BOOL, EAL, MUEAL, STRS, App, Arrow, Bang, BangLam, BangType, Context,
-    Forall, Lam, Mu, TyApp, TyLam, TyVar, TypeCheckError, Var, church_string,
-    compile_dfa, parse_term, parse_type, promote, scott_string, type_alpha_eq,
-    typecheck,
+    Forall, Lam, Mu, TyApp, TyLam, TyVar, TypeCheckError, Var, alpha_eq,
+    church_string, compile_dfa, parse_term, parse_type, promote, scott_string,
+    type_alpha_eq, typecheck,
 )
 from ealc import reduction
 from ealc.reduction import _contract, _contract_child, trace
 from ealc.syntax import (
-    UNIT, Fold, _pty, all_names, children, is_unit, path_of, preorder,
-    print_term, print_type, replace_child, subst_term, subst_type,
-    subst_type_in_term,
+    UNIT, Fold, _print, all_names, children, fold_term, fresh_name, is_unit,
+    path_of, preorder, print_term, print_type, rebuild, replace_child,
+    subst_term, subst_type, subst_type_in_term,
 )
 from ealc.typecheck import _CHECKED, BANG_BOUND, LINEAR, TEMPORARY
 
@@ -246,10 +246,10 @@ def test_type_printer_matches_the_reference():
     for ty in types:
         assert is_unit(ty) == ref.is_unit(ty), ref.print_type_ref(ty)
         for prec in range(4):
-            assert _pty(ty, prec) == ref.print_type_ref(ty, prec)
-    for fn in (_pty, ref.print_type_ref):
+            assert _print(ty, prec) == ref.print_type_ref(ty, prec)
+    for fn in (print_type, lambda t: ref.print_type_ref(t, 0)):
         with pytest.raises(TypeError):
-            fn(Var("x"), 0)
+            fn(Var("x"))
 
 
 # -- the type checker ------------------------------------------------------------
@@ -278,6 +278,55 @@ def test_type_alpha_eq_matches_the_reference():
                 assert new == old, (print_type(s), print_type(t))
                 equal += new
     assert equal > 2 * len(TYPES)
+
+
+def _renamed(t):
+    """t, a term or a type, with every binder renamed, avoiding capture."""
+    return fold_term(t, lambda s: (s, None), _rename)
+
+
+def _rename(s, kids):
+    cls = type(s)
+    if cls is Lam or cls is BangLam:
+        x = fresh_name(s.var + "r", kids[0].fvs)
+        return cls(x, None if s.ty is None else _renamed(s.ty),
+                   subst_term(kids[0], s.var, Var(x)))
+    if cls is TyLam or cls is Forall or cls is Mu:
+        a = fresh_name(s.var + "r", kids[0].ftv)
+        sub = subst_type_in_term if cls is TyLam else subst_type
+        return cls(a, sub(kids[0], s.var, TyVar(a)))
+    if cls is TyApp:
+        return TyApp(kids[0], _renamed(s.ty))
+    if cls is Fold:
+        return Fold(_renamed(s.ty), kids[0])
+    return rebuild(s, kids)
+
+
+def test_alpha_eq_matches_the_reference():
+    # Each subterm against a re-parsed and a binder-renamed copy of it, and
+    # against a seeded sample of the others.
+    rng = random.Random(27)
+    equal = renamed = 0
+    for s in SUBTERMS:
+        group = [s, parse_term(print_term(s)), _renamed(s)]
+        renamed += print_term(group[2]) != print_term(s)
+        for a in group:
+            for b in group + rng.sample(SUBTERMS, 4):
+                new, old = alpha_eq(a, b), ref.alpha_eq(a, b)
+                assert new == old, (print_term(a), print_term(b))
+                equal += new
+    assert equal >= 9 * len(SUBTERMS) and renamed > len(SUBTERMS) // 2
+    # an inner binder shadows an outer one of the same name
+    shadowed = parse_term(r"\x. \x. x")
+    for other, eq in ((r"\x. \y. y", True), (r"\x. \y. x", False),
+                      (r"\y. \x. x", True), (r"\x. \x. y", False)):
+        other = parse_term(other)
+        assert alpha_eq(shadowed, other) == ref.alpha_eq(shadowed, other) == eq
+    shadowed = parse_type("forall a. forall a. a -o a")
+    for other, eq in (("forall a. forall b. b -o b", True),
+                      ("forall a. forall b. a -o a", False)):
+        other = parse_type(other)
+        assert type_alpha_eq(shadowed, other) == ref.type_alpha_eq(shadowed, other) == eq
 
 
 def _outcome(check):

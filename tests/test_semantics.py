@@ -69,6 +69,20 @@ def test_interp_cap_on_a_count_too_large_to_print():
         interp_type(parse_type("(a -o a -o a -o a) -o a"))
 
 
+def test_interp_takes_any_depth():
+    # a fold: a 10^4-long arrow chain at base 1 is a tower of one-element
+    # function spaces, and a cap error names the space where it fails
+    n = 10 ** 4
+    chain = parse_type("a -o " * n + "a")
+    space = interp_type(chain, 1)
+    for _ in range(n):
+        assert space.size == 1 and space.dom.size == 1
+        space = space.cod
+    assert space.ty.name == "a"
+    with pytest.raises(CapExceeded, match=r"^function space a -o a -o a needs 16 cells"):
+        interp_type(chain, 2, cap=15)
+
+
 def test_truncated_string_type_is_tiny():
     ty = truncate_type(parse_type("Str[a]"))
     assert interp_type(ty, base=2).size == 1  # (1 -o 1) -o (1 -o 1) -o (1 -o 1)

@@ -422,6 +422,32 @@ def test_deep_types_parse():
     assert t.ftv == {"a"}
 
 
+DEEP = 10 ** 4
+# text, its printed form, and the printed form of text{a := b}
+DEEP_TYPES = {
+    "right-chain": ("a -o " * DEEP + "a", None, "b -o " * DEEP + "b"),
+    "bangs": ("!" * DEEP + "a", None, "!" * DEEP + "b"),
+    # each binder is renamed, since b would capture the substituted b
+    "foralls": ("forall b. " * DEEP + "b -o a", None, "forall b'1. " * DEEP + "b'1 -o b"),
+    "left-chain": ("(" * DEEP + "a" + " -o a)" * DEEP, "(" * (DEEP - 1) + "a" + " -o a)" * (DEEP - 1)
+                   + " -o a", "(" * (DEEP - 1) + "b" + " -o b)" * (DEEP - 1) + " -o b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_TYPES))
+def test_type_walks_take_any_depth(name):
+    # types go through fold_term, alpha_eq's pair stack and the one printer
+    text, printed, substituted = DEEP_TYPES[name]
+    ty = parse_type(text)
+    assert print_type(ty) == (printed or text)
+    again = parse_type(print_type(ty))
+    assert print_type(again) == print_type(ty)
+    assert again is not ty and type_alpha_eq(ty, again)
+    new = subst_type(ty, "a", TyVar("b"))
+    assert print_type(new) == substituted
+    assert not type_alpha_eq(ty, new) and type_alpha_eq(new, parse_type(substituted))
+
+
 def test_path_free_walks_build_no_path(monkeypatch):
     # A walk keeps paths as parent-linked cells of four fields, and only
     # path_of turns one into a tuple, so all_names and a passing

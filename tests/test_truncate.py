@@ -4,7 +4,7 @@ from ealc import (
     Bang, BangType, BOOL, Context, EAL, Lam, STR, TruncationError,
     TyVar, UNIT, alpha_eq, bool_term, check_stratification,
     church_string, erase_annotations, normalize, parse_term, parse_type,
-    scott_string, subst_type, truncate_term, truncate_type, type_alpha_eq,
+    print_type, scott_string, subst_type, truncate_term, truncate_type, type_alpha_eq,
     typecheck,
 )
 from ealc.syntax import BangType as _BangType
@@ -51,6 +51,15 @@ def test_truncate_type_idempotent():
         once = truncate_type(ty)
         assert type_alpha_eq(once, truncate_type(once))
         assert exponential_free_type(once)
+
+
+def test_truncate_type_takes_any_depth():
+    # a fold, so an arrow chain as long as a long Church string truncates
+    n = 10 ** 4
+    chain = parse_type("a -o " * n + "a")
+    assert type_alpha_eq(truncate_type(chain), chain)
+    banged = truncate_type(parse_type("!a -o " * n + "!!a"))
+    assert print_type(banged) == "1 -o " * n + "1"
 
 
 def test_mu_is_rejected():
