@@ -324,8 +324,8 @@ def main(argv=None) -> int:
         # the input, so the message is fixed
         print("resource limit: maximum recursion depth exceeded", file=sys.stderr)
         return EXIT_RESOURCE
-    except (MemoryError,) + _loaded("reduction.FuelExhausted",
-                                    "semantics.CapExceeded") as e:
+    except (MemoryError,) + _loaded("reduction.FuelExhausted", "semantics.CapExceeded",
+                                    "regcompile.MonoidBudgetExceeded") as e:
         print("resource limit: %s" % (str(e) or "out of memory"), file=sys.stderr)
         return EXIT_RESOURCE
     except _loaded("extract.VerificationFailed") as e:

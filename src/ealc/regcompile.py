@@ -1,11 +1,14 @@
 """Compiling regular languages over {0,1} into closed terms of type
 Str -o !Bool.
 
-The pipeline is regex -> DFA -> transition monoid -> term.  A language
-given as a finite-monoid morphism preimage is compiled directly: monoid
-elements become the selector terms m_i : Mk, each letter becomes the
-left-multiplication step delta_c : Mk -o Mk, and membership of the final
-element in the accepting subset is read off by chi_S : Mk -o Bool.
+The pipeline is regex -> DFA -> transition monoid -> term.  A regex
+becomes a DFA through its position automaton, built in one scan of the
+text; the DFA is then minimized.  A language given as a finite-monoid
+morphism preimage is compiled directly: monoid elements become the
+selector terms m_i : Mk, each letter becomes the left-multiplication step
+delta_c : Mk -o Mk, and membership of the final element in the accepting
+subset is read off by chi_S : Mk -o Bool.  A monoid of more than
+MONOID_BUDGET elements is refused with MonoidBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -24,6 +27,19 @@ ALPHABET = ("0", "1")
 
 class AutomatonError(Exception):
     """An automaton or presentation violates its structural invariants."""
+
+
+# The largest monoid compiled.  A k-element monoid has a k^2 table and an
+# O(k^3) associativity check, so the budget bounds the time of a compile;
+# the k = 7 family monoid, (0|1)*1(0|1)^7, has 511 elements.
+MONOID_BUDGET = 512
+
+
+class MonoidBudgetExceeded(Exception):
+    """A monoid has more elements than MONOID_BUDGET."""
+
+    def __init__(self, what, size):
+        super().__init__("%s has %s elements, budget is %d" % (what, size, MONOID_BUDGET))
 
 
 # ---------------------------------------------------------------------------
@@ -129,29 +145,22 @@ def numbered_dfa(succ: list, accept) -> Dfa:
 def minimize(d: Dfa) -> Dfa:
     """Unique minimal DFA (Moore partition refinement), states renamed
     q0, q1, ... in BFS order from the start state."""
-    states, _ = explore(d.start, lambda s, c: d.delta[s][c])
-    block = {s: (s in d.accept) for s in states}
-    while True:
-        sig = {s: (block[s],) + tuple(block[d.delta[s][c]] for c in ALPHABET)
-               for s in states}
-        classes = {}
-        for s in states:
-            classes.setdefault(sig[s], []).append(s)
-        if len(classes) == len(set(block.values())):
+    states, succ = explore(d.start, lambda s, c: d.delta[s][c])
+    block = [s in d.accept for s in states]
+    while True:  # a state's next block is its block and its successors'
+        sigs = {}
+        refined = [sigs.setdefault((b, *map(block.__getitem__, row.values())), len(sigs))
+                   for b, row in zip(block, succ)]
+        if len(sigs) == len(set(block)):
             break
-        block = {}
-        for i, (_, members) in enumerate(sorted(classes.items(),
-                                                key=lambda kv: str(kv[0]))):
-            for s in members:
-                block[s] = i
+        block = refined
 
     rep = {}
-    for s in states:
-        rep.setdefault(block[s], s)
-    blocks, succ = explore(block[d.start],
-                           lambda b, c: block[d.delta[rep[b]][c]])
-    return numbered_dfa(succ, [i for i, b in enumerate(blocks)
-                               if rep[b] in d.accept])
+    for i, b in enumerate(block):
+        rep.setdefault(b, i)
+    blocks, moves = explore(block[0], lambda b, c: block[succ[rep[b]][c]])
+    return numbered_dfa(moves, [i for i, b in enumerate(blocks)
+                                if states[rep[b]] in d.accept])
 
 
 def dfa_equiv(a: Dfa, b: Dfa) -> bool:
@@ -170,153 +179,80 @@ def all_words(max_len: int):
 
 
 # ---------------------------------------------------------------------------
-# Regexes via derivatives.  Smart constructors keep the ASTs canonical
-# enough (associativity/commutativity/idempotence of |, unit laws) for the
-# set of derivatives to stay finite.
-
-_EMPTY = ("empty",)
-_EPS = ("eps",)
-
-def _lit(c):
-    return ("lit", c)
-
-def _cat(a, b):
-    if a == _EMPTY or b == _EMPTY:
-        return _EMPTY
-    if a == _EPS:
-        return b
-    if b == _EPS:
-        return a
-    if a[0] == "cat":  # right-nest
-        return _cat(a[1], _cat(a[2], b))
-    return ("cat", a, b)
-
-def _alt(a, b):
-    parts = set()
-    for r in (a, b):
-        if r[0] == "alt":
-            parts |= r[1]
-        elif r != _EMPTY:
-            parts.add(r)
-    if not parts:
-        return _EMPTY
-    if len(parts) == 1:
-        return next(iter(parts))
-    return ("alt", frozenset(parts))
-
-def _star(a):
-    if a in (_EMPTY, _EPS):
-        return _EPS
-    if a[0] == "star":
-        return a
-    return ("star", a)
-
-
-def _nullable(r) -> bool:
-    match r[0]:
-        case "empty":
-            return False
-        case "eps":
-            return True
-        case "lit":
-            return False
-        case "cat":
-            return _nullable(r[1]) and _nullable(r[2])
-        case "alt":
-            return any(_nullable(p) for p in r[1])
-        case "star":
-            return True
-    raise ValueError(r)
-
-
-def _deriv(r, c):
-    match r[0]:
-        case "empty" | "eps":
-            return _EMPTY
-        case "lit":
-            return _EPS if r[1] == c else _EMPTY
-        case "cat":
-            d = _cat(_deriv(r[1], c), r[2])
-            if _nullable(r[1]):
-                d = _alt(d, _deriv(r[2], c))
-            return d
-        case "alt":
-            out = _EMPTY
-            for p in r[1]:
-                out = _alt(out, _deriv(p, c))
-            return out
-        case "star":
-            return _cat(_deriv(r[1], c), r)
-    raise ValueError(r)
-
+# Regexes via the position automaton (Glushkov 1961; Berry and Sethi,
+# "From regular expressions to deterministic automata", TCS 1986).  The
+# letters of the text are positions 1, 2, ...; position 0 is the start.
+# A factor is a triple (nullable, first, last): whether it matches the
+# empty word, and the positions that can begin and end a word of it.
+# follow[p] holds the positions that can come right after position p, and
+# at[c] the positions of letter c.
 
 class RegexError(Exception):
     pass
 
 
-def _parse_regex(text: str):
-    pos = 0
-
-    def peek():
-        return text[pos] if pos < len(text) else None
-
-    def alt():
-        nonlocal pos
-        parts = [catenation()]
-        while peek() == "|":
-            pos += 1
-            parts.append(catenation())
-        out = _EMPTY
-        for p in parts:
-            out = _alt(out, p)
-        return out
-
-    def catenation():
-        nonlocal pos
-        out = _EPS
-        while peek() is not None and peek() not in "|)":
-            out = _cat(out, repetition())
-        return out
-
-    def repetition():
-        nonlocal pos
-        a = atom()
-        while peek() == "*":
-            pos += 1
-            a = _star(a)
-        return a
-
-    def atom():
-        nonlocal pos
-        c = peek()
-        if c in ("0", "1"):
-            pos += 1
-            return _lit(c)
-        if c == "e":
-            pos += 1
-            return _EPS
-        if c == "(":
-            pos += 1
-            r = alt()
-            if peek() != ")":
-                raise RegexError("unbalanced parenthesis at %d" % pos)
-            pos += 1
-            return r
-        raise RegexError("unexpected %r at position %d" % (c, pos))
-
-    r = alt()
-    if pos != len(text):
-        raise RegexError("trailing input at position %d" % pos)
-    return r
+_EPS = (True, frozenset(), frozenset())
 
 
 def regex_to_dfa(regex: str) -> Dfa:
     """Minimal complete DFA of the regex (literals 0 1, e for the empty
-    word, concatenation, |, *, parentheses; the empty regex denotes {e})."""
-    # Brzozowski derivative automaton, states = canonical regex values.
-    order, succ = explore(_parse_regex(regex), _deriv)
+    word, concatenation, |, *, parentheses; the empty regex denotes {e}).
+
+    One left-to-right scan keeps a stack of open groups, each a list of
+    its alternatives, each a list of its factors.  A DFA state is the set
+    of positions the word read so far can end on."""
+    at, follow = {c: set() for c in ALPHABET}, [set()]
+
+    def concat(factors):
+        nullable, first, last = _EPS
+        for n, f, l in factors:
+            for p in last:
+                follow[p] |= f
+            first = first | f if nullable else first
+            last = last | l if n else l
+            nullable = nullable and n
+        return nullable, first, last
+
+    def union(alternatives):
+        nullable, first, last = zip(*map(concat, alternatives))
+        return any(nullable), frozenset().union(*first), frozenset().union(*last)
+
+    groups = [[[]]]
+    after_factor = False
+    for i, c in enumerate(regex):
+        factors = groups[-1][-1]
+        if c in ALPHABET:
+            here = frozenset((len(follow),))
+            at[c] |= here
+            follow.append(set())
+            factors.append((False, here, here))
+        elif c == "e":
+            factors.append(_EPS)
+        elif c == "*" and after_factor:
+            _, f, l = factors[-1]
+            for p in l:
+                follow[p] |= f
+            factors[-1] = (True, f, l)
+        elif c == "(":
+            groups.append([[]])
+        elif c == "|":
+            groups[-1].append([])
+        elif c == ")" and len(groups) > 1:
+            groups[-2][-1].append(union(groups.pop()))
+        elif c == ")":
+            raise RegexError("trailing input at position %d" % i)
+        else:
+            raise RegexError("unexpected %r at position %d" % (c, i))
+        after_factor = c in "01e*)"
+    if len(groups) > 1:
+        raise RegexError("unbalanced parenthesis at %d" % len(regex))
+
+    start = frozenset((0,))
+    _, _, last = concat([(False, start, start), union(groups[0])])
+    order, succ = explore(start, lambda s, c: frozenset().union(*map(follow.__getitem__, s))
+                          & at[c])
     return minimize(numbered_dfa(
-        succ, [i for i, r in enumerate(order) if _nullable(r)]))
+        succ, [i for i, s in enumerate(order) if not s.isdisjoint(last)]))
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +322,8 @@ def monoid_from_dict(obj: dict) -> MonoidPresentation:
                                             *table)):
             raise AutomatonError("size, gen0, gen1, table and accept entries "
                                  "must be integers")
+        if size > MONOID_BUDGET:
+            raise MonoidBudgetExceeded("monoid", size)
         return MonoidPresentation(size, table, gen0, gen1, frozenset(accept))
     except KeyError as e:
         raise AutomatonError("monoid lacks %s" % e) from None
@@ -402,6 +340,8 @@ def transition_monoid(d: Dfa) -> MonoidPresentation:
 
     Elements are numbered in BFS (shortlex witness) order starting from the
     identity map = 1, so w is accepted by d iff phi(w) lands in `accept`.
+    Raises MonoidBudgetExceeded as soon as more than MONOID_BUDGET
+    elements are found, before any table is built.
     """
     states = d.states
     ident = tuple(range(len(states)))
@@ -411,7 +351,16 @@ def transition_monoid(d: Dfa) -> MonoidPresentation:
     def then(m1, m2):  # read word of m1, then word of m2
         return tuple(m2[v] for v in m1)
 
-    order, _ = explore(ident, lambda m, c: then(m, gens[c]))
+    seen = {ident}
+
+    def step(m, c):
+        nxt = then(m, gens[c])
+        seen.add(nxt)
+        if len(seen) > MONOID_BUDGET:
+            raise MonoidBudgetExceeded("transition monoid", "over %d" % MONOID_BUDGET)
+        return nxt
+
+    order, _ = explore(ident, step)
     elems = {m: i + 1 for i, m in enumerate(order)}
     k = len(order)
     table = tuple(tuple(elems[then(a, b)] for b in order) for a in order)

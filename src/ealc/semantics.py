@@ -68,26 +68,29 @@ def capped_power(what: str, ty: Type, base: int, digits: int, cap: int) -> int:
     return cells
 
 
+# shape -> key: a plain set's shape is (size,), a function space's
+# (size, dom's key, cod's key), so a key stands for the whole shape
+_SHAPES = {}
+
+
 class FiniteSet:
     """Interpretation of a type; `ty` records which one, and is the type
     of every value in the set (the evaluator reads types off values).
 
     Equality is by shape (sizes, recursively through function spaces):
-    two interpretations of alpha-equal types are interchangeable."""
-    __slots__ = ("size", "ty")
+    two interpretations of alpha-equal types are interchangeable.  The
+    shape is numbered once, when the set is built, as `key`."""
+    __slots__ = ("size", "ty", "key")
 
     def __init__(self, size: int, ty: Type):
         self.size, self.ty = size, ty
+        self.key = _SHAPES.setdefault((size,), len(_SHAPES))
 
     def __eq__(self, other):
-        if isinstance(other, FnSet) or isinstance(self, FnSet):
-            return (isinstance(self, FnSet) and isinstance(other, FnSet)
-                    and self.size == other.size
-                    and self.dom == other.dom and self.cod == other.cod)
-        return isinstance(other, FiniteSet) and self.size == other.size
+        return isinstance(other, FiniteSet) and self.key == other.key
 
     def __hash__(self):
-        return hash(("set", self.size))
+        return hash(self.key)
 
 
 class FnSet(FiniteSet):
@@ -95,9 +98,7 @@ class FnSet(FiniteSet):
 
     def __init__(self, size: int, ty: Type, dom: FiniteSet, cod: FiniteSet):
         self.size, self.ty, self.dom, self.cod = size, ty, dom, cod
-
-    def __hash__(self):
-        return hash(("fn", self.size, self.dom, self.cod))
+        self.key = _SHAPES.setdefault((size, dom.key, cod.key), len(_SHAPES))
 
 
 class FrameValue(namedtuple("FrameValue", "space index")):

@@ -3,7 +3,9 @@ printer, of alpha-equivalence and of the type checker, written with
 class-pattern `match` as the library had them
 before it dispatched on type(t).  test_dispatch.py compares the library
 against them.  Each copy calls the other copies, never the library's
-versions."""
+versions.  At the end, the derivative construction of regex_to_dfa that
+the position automaton replaced, and the minimize it called;
+test_regcompile.py compares them with the library."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ from ealc.syntax import (
     App, Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu, TyApp, TyLam,
     TyVar, Unfold, Var, fresh_name, is_linear, is_strictly_linear, print_type,
 )
+from ealc.regcompile import ALPHABET, RegexError, explore, numbered_dfa
 from ealc.typecheck import (
     BANG_BOUND, BANG_ESCAPE, CLASS_VIOLATION, EAL, FORALL_NOT_LINEAR, LINEAR,
     MISMATCH, MU_IN_EAL, NONLINEAR, TEMPORARY, UNBOUND, ZONE_MISUSE,
@@ -400,3 +403,182 @@ def _infer(mode, env, t, path=()):
             return subst_type(ty.body, ty.var, ty)
 
     raise TypeError("not a term: %r" % (t,))
+
+
+# ---------------------------------------------------------------------------
+# Regexes via derivatives, the construction regcompile.regex_to_dfa used
+# before the position automaton replaced it, and minimize as it was before
+# it numbered the states; test_regcompile.py compares them with the
+# library.  explore and numbered_dfa are the library's.
+
+def minimize(d):
+    """Unique minimal DFA (Moore partition refinement), states renamed
+    q0, q1, ... in BFS order from the start state."""
+    states, _ = explore(d.start, lambda s, c: d.delta[s][c])
+    block = {s: (s in d.accept) for s in states}
+    while True:
+        sig = {s: (block[s],) + tuple(block[d.delta[s][c]] for c in ALPHABET)
+               for s in states}
+        classes = {}
+        for s in states:
+            classes.setdefault(sig[s], []).append(s)
+        if len(classes) == len(set(block.values())):
+            break
+        block = {}
+        for i, (_, members) in enumerate(sorted(classes.items(),
+                                                key=lambda kv: str(kv[0]))):
+            for s in members:
+                block[s] = i
+
+    rep = {}
+    for s in states:
+        rep.setdefault(block[s], s)
+    blocks, succ = explore(block[d.start],
+                           lambda b, c: block[d.delta[rep[b]][c]])
+    return numbered_dfa(succ, [i for i, b in enumerate(blocks)
+                               if rep[b] in d.accept])
+
+
+# Smart constructors keep the ASTs canonical enough (associativity/
+# commutativity/idempotence of |, unit laws) for the set of derivatives to
+# stay finite.
+
+_EMPTY = ("empty",)
+_EPS = ("eps",)
+
+def _lit(c):
+    return ("lit", c)
+
+def _cat(a, b):
+    if a == _EMPTY or b == _EMPTY:
+        return _EMPTY
+    if a == _EPS:
+        return b
+    if b == _EPS:
+        return a
+    if a[0] == "cat":  # right-nest
+        return _cat(a[1], _cat(a[2], b))
+    return ("cat", a, b)
+
+def _alt(a, b):
+    parts = set()
+    for r in (a, b):
+        if r[0] == "alt":
+            parts |= r[1]
+        elif r != _EMPTY:
+            parts.add(r)
+    if not parts:
+        return _EMPTY
+    if len(parts) == 1:
+        return next(iter(parts))
+    return ("alt", frozenset(parts))
+
+def _star(a):
+    if a in (_EMPTY, _EPS):
+        return _EPS
+    if a[0] == "star":
+        return a
+    return ("star", a)
+
+
+def _nullable(r) -> bool:
+    match r[0]:
+        case "empty":
+            return False
+        case "eps":
+            return True
+        case "lit":
+            return False
+        case "cat":
+            return _nullable(r[1]) and _nullable(r[2])
+        case "alt":
+            return any(_nullable(p) for p in r[1])
+        case "star":
+            return True
+    raise ValueError(r)
+
+
+def _deriv(r, c):
+    match r[0]:
+        case "empty" | "eps":
+            return _EMPTY
+        case "lit":
+            return _EPS if r[1] == c else _EMPTY
+        case "cat":
+            d = _cat(_deriv(r[1], c), r[2])
+            if _nullable(r[1]):
+                d = _alt(d, _deriv(r[2], c))
+            return d
+        case "alt":
+            out = _EMPTY
+            for p in r[1]:
+                out = _alt(out, _deriv(p, c))
+            return out
+        case "star":
+            return _cat(_deriv(r[1], c), r)
+    raise ValueError(r)
+
+
+def _parse_regex(text: str):
+    pos = 0
+
+    def peek():
+        return text[pos] if pos < len(text) else None
+
+    def alt():
+        nonlocal pos
+        parts = [catenation()]
+        while peek() == "|":
+            pos += 1
+            parts.append(catenation())
+        out = _EMPTY
+        for p in parts:
+            out = _alt(out, p)
+        return out
+
+    def catenation():
+        nonlocal pos
+        out = _EPS
+        while peek() is not None and peek() not in "|)":
+            out = _cat(out, repetition())
+        return out
+
+    def repetition():
+        nonlocal pos
+        a = atom()
+        while peek() == "*":
+            pos += 1
+            a = _star(a)
+        return a
+
+    def atom():
+        nonlocal pos
+        c = peek()
+        if c in ("0", "1"):
+            pos += 1
+            return _lit(c)
+        if c == "e":
+            pos += 1
+            return _EPS
+        if c == "(":
+            pos += 1
+            r = alt()
+            if peek() != ")":
+                raise RegexError("unbalanced parenthesis at %d" % pos)
+            pos += 1
+            return r
+        raise RegexError("unexpected %r at position %d" % (c, pos))
+
+    r = alt()
+    if pos != len(text):
+        raise RegexError("trailing input at position %d" % pos)
+    return r
+
+
+def regex_to_dfa(regex: str):
+    """Minimal complete DFA of the regex (literals 0 1, e for the empty
+    word, concatenation, |, *, parentheses; the empty regex denotes {e})."""
+    # Brzozowski derivative automaton, states = canonical regex values.
+    order, succ = explore(_parse_regex(regex), _deriv)
+    return minimize(numbered_dfa(
+        succ, [i for i, r in enumerate(order) if _nullable(r)]))

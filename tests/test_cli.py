@@ -9,7 +9,7 @@ from ealc.cli import main
 from ealc import (
     STR, App, Bang, BangLam, alpha_eq, bool_term, cast_term, church_string,
     compile_dfa, dfa_from_json, dfa_to_json, parse_term, print_term,
-    print_type, scott_string,
+    print_type, regex_to_dfa, scott_string,
 )
 
 from ealc.reduction import trace
@@ -191,6 +191,43 @@ def test_compile_dfa_and_monoid_files(tmp_path, capsys):
         {"size": 2, "table": [[1, 2], [2, 1]], "gen0": 1, "gen1": 2,
          "accept": [1]}))
     assert main(["compile", "--monoid", monoid_file]) == 0
+
+
+@pytest.mark.parametrize("text, states, code",
+                         [("1" * 1000, 1002, 3), ("1*" * 1000, 2, 0), ("(0|1)" * 1000, 1002, 3)],
+                         ids=["1^1000", "(1*)^1000", "(0|1)^1000"])
+def test_compile_long_regexes(monkeypatch, capsys, text, states, code):
+    # regex_to_dfa takes a thousand factors; a DFA whose transition monoid
+    # is past the budget stops before the monoid's table is built
+    built = []
+
+    def spy(regex):
+        built.append(regex_to_dfa(regex))
+        return built[-1]
+    monkeypatch.setattr("ealc.cli.regex_to_dfa", spy)
+    start = time.perf_counter()
+    assert main(["compile", "--regex", text]) == code
+    assert time.perf_counter() - start < 5
+    assert [len(d.states) for d in built] == [states]
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert main(["compile", "--regex", "1*"]) == 0
+        assert capsys.readouterr().out == out
+    else:
+        assert (out, err) == (
+            "", "resource limit: transition monoid has over 512 elements, budget is 512\n")
+
+
+def test_compile_monoid_past_the_budget(tmp_path, capsys):
+    k = 513  # Z_513, a valid monoid one element past the budget
+    monoid_file = write(tmp_path / "z513.json", json.dumps(
+        {"size": k, "table": [[(i + j) % k + 1 for j in range(k)] for i in range(k)],
+         "gen0": 1, "gen1": 2, "accept": [1]}))
+    start = time.perf_counter()
+    assert main(["compile", "--monoid", monoid_file]) == 3
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == \
+        "resource limit: monoid has 513 elements, budget is 512\n"
 
 
 def test_verify_mismatch_exit_code(tmp_path, parity_term):

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 
@@ -9,9 +11,11 @@ from ealc import (
     typecheck_closed,
 )
 from ealc.regcompile import (
-    AutomatonError, Dfa, dfa_equiv, minimize, monoid_from_dict,
+    MONOID_BUDGET, AutomatonError, Dfa, MonoidBudgetExceeded, dfa_equiv, minimize,
+    monoid_from_dict, numbered_dfa,
 )
 
+import match_reference as ref
 from corpus import ALL_STRINGS, CONTAINS_11, DIV3, PARITY, REFERENCE_DFAS
 
 
@@ -47,10 +51,62 @@ def test_regex_literals_and_alternation():
 
 
 def test_regex_errors():
-    with pytest.raises(RegexError):
-        regex_to_dfa("(01")
-    with pytest.raises(RegexError):
-        regex_to_dfa("2")
+    for text, message in [("(01", "unbalanced parenthesis at 3"),
+                          ("2", "unexpected '2' at position 0"),
+                          ("*0", "unexpected '*' at position 0"),
+                          ("0(*)", "unexpected '*' at position 2"),
+                          ("0|*", "unexpected '*' at position 2"),
+                          ("01 ", "unexpected ' ' at position 2"),
+                          ("(0))(", "trailing input at position 3"),
+                          ("((0)|1", "unbalanced parenthesis at 6")]:
+        with pytest.raises(RegexError) as e:
+            regex_to_dfa(text)
+        assert str(e.value) == message, text
+
+
+def random_regex_text(rng, leaves):
+    """A seeded regex text over 0 1 e with `leaves` letters; each
+    concatenation, alternation and starred part is put in parentheses or
+    not at random, so the texts test precedence as well."""
+    if leaves == 1:
+        text = rng.choice("01e")
+    else:
+        k = rng.randint(1, leaves - 1)
+        text = random_regex_text(rng, k) + rng.choice(("", "|")) \
+            + random_regex_text(rng, leaves - k)
+    if rng.random() < 0.5:
+        text = "(%s)" % text
+    return text + "*" if rng.random() < 0.3 else text
+
+
+def test_regex_matches_the_derivative_reference():
+    # the position automaton against the derivative construction it
+    # replaced: equal minimal DFAs, or equal error texts
+    def outcome(compile_regex, text):
+        try:
+            return compile_regex(text)
+        except RegexError as e:
+            return "RegexError: %s" % e
+
+    rng = random.Random(28)
+    texts = ["", "()", "(|)", "e*", "**", "(*)", "0|", ")", "(0", "0)", "|*", "e**",
+             "((0|1)*)*", "2", "(0|1)*1(0|1)(0|1)"]
+    for _ in range(1000):
+        texts.append(random_regex_text(rng, rng.randint(1, 12)))
+        texts.append("".join(rng.choice("01e()|*") for _ in range(rng.randint(0, 10))))
+    outcomes = [(outcome(regex_to_dfa, t), outcome(ref.regex_to_dfa, t)) for t in texts]
+    assert [t for t, (got, want) in zip(texts, outcomes) if got != want] == []
+    errors = sum(isinstance(got, str) for got, _ in outcomes)
+    assert 500 < errors < len(texts) - 500
+
+
+def test_minimize_matches_the_reference():
+    rng = random.Random(28)
+    for _ in range(1000):
+        names = ["s%d" % i for i in range(rng.randint(1, 12))]
+        d = dfa(names, rng.choice(names), [s for s in names if rng.random() < 0.4],
+                {s: {c: rng.choice(names) for c in "01"} for s in names})
+        assert minimize(d) == ref.minimize(d), d
 
 
 # -- DFA structure --------------------------------------------------------------
@@ -166,6 +222,25 @@ def test_monoid_is_an_immutable_value():
         MonoidPresentation(2, ((1, 2), (1, 1)), 1, 2, frozenset({1}))
     with pytest.raises(AutomatonError, match="generator images out of range"):
         MonoidPresentation(2, ((1, 2), (2, 1)), 3, 2, frozenset({1}))
+
+
+def test_monoid_budget():
+    # Z_k, the cyclic group of rotations: one past the budget stops while
+    # the elements are enumerated, before any table is built
+    k = MONOID_BUDGET + 1
+    rotation = numbered_dfa([{"0": i, "1": (i + 1) % k} for i in range(k)], [0])
+    start = time.perf_counter()
+    with pytest.raises(MonoidBudgetExceeded,
+                       match="transition monoid has over 512 elements, budget is 512"):
+        transition_monoid(rotation)
+    assert time.perf_counter() - start < 1
+    assert not issubclass(MonoidBudgetExceeded, AutomatonError)
+    # a presentation's size is checked before its table
+    small = {"table": [[1]], "gen0": 1, "gen1": 1, "accept": []}
+    with pytest.raises(MonoidBudgetExceeded, match="monoid has 513 elements"):
+        monoid_from_dict({**small, "size": MONOID_BUDGET + 1})
+    with pytest.raises(AutomatonError, match="must be 512x512"):
+        monoid_from_dict({**small, "size": MONOID_BUDGET})
 
 
 def test_monoid_validation():

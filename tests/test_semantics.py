@@ -120,6 +120,16 @@ def test_frame_values_and_pair_tables_are_immutable_values():
         table.count = 1
 
 
+def test_deep_spaces_compare_and_hash():
+    # spaces compare by a shape key given when they are built, so a
+    # function space of any depth compares and hashes without recursion
+    chain = "a -o " * 10 ** 4 + "a"
+    x, y = interp_type(parse_type(chain), 1), interp_type(parse_type(chain), 1)
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert x != interp_type(parse_type("a -o " * 10 ** 4 + "a -o a"), 1)
+    assert {FrameValue(x, 0): 1}[FrameValue(y, 0)] == 1
+
+
 def test_eval_compositionality():
     # [[App(t, u)]] = apply([[t]], [[u]])
     f = Lam("x", A, Var("x"))
