@@ -14,11 +14,12 @@ import importlib
 
 _EXPORTS = {
     "syntax": (
-        "App", "Arrow", "Bang", "BangLam", "BangType", "Fold", "Forall", "Lam",
-        "Mu", "Term", "Type", "TyApp", "TyLam", "TyVar", "TypeStructureError",
-        "UNIT", "Unfold", "Var", "alpha_eq", "check_stratification",
-        "erase_annotations", "is_unit", "print_term", "print_type",
-        "subst_term", "subst_type", "subst_type_in_term", "type_alpha_eq",
+        "App", "Arrow", "Bang", "BangLam", "BangType", "Fold", "Forall",
+        "InputError", "Lam", "Mu", "ResourceLimit", "Term", "Type", "TyApp",
+        "TyLam", "TyVar", "TypeStructureError", "UNIT", "Unfold", "Unsupported",
+        "Var", "alpha_eq", "check_stratification", "erase_annotations",
+        "is_unit", "print_term", "print_type", "subst_term", "subst_type",
+        "subst_type_in_term", "type_alpha_eq",
     ),
     "parser": ("ParseError", "parse_term", "parse_type"),
     "typecheck": (

@@ -4,9 +4,9 @@ Thin wrappers over the library: every subcommand parses its inputs, calls
 the corresponding library function and prints the result.  Identical inputs
 and flags produce byte-identical outputs.
 
-Exit codes: 0 success, 1 parse/type error, 2 unsupported shape,
-3 resource cap, fuel, recursion depth or memory exhausted, 4 verification
-mismatch.
+Exit codes: 0 success, 1 an InputError, ValueError or OSError, 2 an
+Unsupported, 3 a ResourceLimit, RecursionError or MemoryError (each error
+class of ealc derives from one of these bases), 4 a verification mismatch.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ import functools
 import importlib
 import sys
 
-from .syntax import DEFAULT_FUEL, TypeStructureError, print_term, print_type
+from .syntax import (
+    DEFAULT_FUEL, InputError, ResourceLimit, Unsupported, print_term, print_type,
+)
 from .typecheck import EAL, MUEAL, TypeCheckError, typecheck_closed
 
 # What the subcommands call from the modules that not every subcommand
@@ -63,18 +65,6 @@ def _load(*modules):
         for attr in _CALLS[name]:
             if attr not in names:
                 __getattr__(attr)
-
-
-def _loaded(*names):
-    """The exception classes named "module.Class" whose module has been
-    loaded; an exception of any other cannot have been raised."""
-    found = []
-    for name in names:
-        module, cls = name.split(".")
-        module = sys.modules.get("%s.%s" % (__package__, module))
-        if module is not None:
-            found.append(getattr(module, cls))
-    return tuple(found)
 
 
 def _read(path: str) -> str:
@@ -300,6 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sp in sub.choices.values():
         sp.formatter_class = fixed_width
+    # argparse 3.13 puts the "..." on the choices' line.  Set last, as
+    # add_subparsers builds each subcommand's prog from the usage it sees.
+    indent = "\n" + " " * len("usage: eal ")
+    p.usage = "%%(prog)s [-h] [--version]%s{%s}%s..." % (
+        indent, ",".join(sub.choices), indent)
     return p
 
 
@@ -310,13 +305,10 @@ def main(argv=None) -> int:
     except TypeCheckError as e:
         print(e, file=sys.stderr)  # already formatted as path: kind: message
         return EXIT_INPUT
-    except (TypeStructureError, ValueError, OSError) + _loaded(
-            "parser.ParseError", "regcompile.AutomatonError",
-            "regcompile.RegexError", "reduction.DecodeError") as e:
+    except (InputError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
-    except _loaded("extract.UnsupportedShape", "semantics.SemanticsUnsupported",
-                   "truncate.TruncationError") as e:
+    except Unsupported as e:
         print("unsupported: %s" % e, file=sys.stderr)
         return EXIT_UNSUPPORTED
     except RecursionError:
@@ -324,13 +316,9 @@ def main(argv=None) -> int:
         # the input, so the message is fixed
         print("resource limit: maximum recursion depth exceeded", file=sys.stderr)
         return EXIT_RESOURCE
-    except (MemoryError,) + _loaded("reduction.FuelExhausted", "semantics.CapExceeded",
-                                    "regcompile.MonoidBudgetExceeded") as e:
+    except (MemoryError, ResourceLimit) as e:
         print("resource limit: %s" % (str(e) or "out of memory"), file=sys.stderr)
         return EXIT_RESOURCE
-    except _loaded("extract.VerificationFailed") as e:
-        print("verification failed: %s" % e, file=sys.stderr)
-        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

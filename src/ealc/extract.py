@@ -30,8 +30,9 @@ import random
 from collections.abc import Callable
 
 from .syntax import (
-    App, Arrow, Bang, BangLam, BangType, Fold, Lam, Term, TyApp, Unfold, Var,
-    all_names, fold_term, fresh_name, print_term, print_type, type_alpha_eq,
+    App, Arrow, Bang, BangLam, BangType, Fold, Lam, Term, TyApp, Unfold,
+    Unsupported, Var, all_names, fold_term, fresh_name, print_term, print_type,
+    type_alpha_eq,
 )
 from .typecheck import Context, MUEAL, typecheck
 from .encode import BOOL, STR, church_string, str_of
@@ -39,7 +40,7 @@ from .reduction import DEFAULT_FUEL, Evaluator, normalize, read_bool, strip_bang
 from .regcompile import ALPHABET, Dfa, all_words, minimize
 
 
-class UnsupportedShape(Exception):
+class UnsupportedShape(Unsupported):
     """The term's normal form does not fit the decomposition analysis."""
 
 

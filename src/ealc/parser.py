@@ -28,12 +28,12 @@ import re
 
 from .encode import BOOL, NAT, STR, STRS, monoid_ty, str_of
 from .syntax import (
-    App, Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu, Term, Type,
-    TyApp, TyLam, TyVar, TypeStructureError, UNIT, Unfold, Var, fresh_name,
+    App, Arrow, Bang, BangLam, BangType, Fold, Forall, InputError, Lam, Mu, Term,
+    Type, TyApp, TyLam, TyVar, TypeStructureError, UNIT, Unfold, Var, fresh_name,
 )
 
 
-class ParseError(Exception):
+class ParseError(InputError):
     def __init__(self, msg, line=None, col=None):
         if line is not None:
             msg = "%d:%d: %s" % (line, col, msg)

@@ -22,19 +22,19 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .syntax import (
-    DEFAULT_FUEL, App, Bang, BangLam, Fold, Lam, Term, TyApp, TyLam, Unfold,
-    Var, children, erase_annotations, print_term, replace_child, subst_term,
-    subst_type_in_term,
+    DEFAULT_FUEL, App, Bang, BangLam, Fold, InputError, Lam, ResourceLimit, Term,
+    TyApp, TyLam, Unfold, Var, children, erase_annotations, print_term,
+    replace_child, subst_term, subst_type_in_term,
 )
 
 
-class FuelExhausted(Exception):
+class FuelExhausted(ResourceLimit):
     def __init__(self, steps: int):
         super().__init__("no normal form after %d reduction steps" % steps)
         self.steps = steps
 
 
-class DecodeError(Exception):
+class DecodeError(InputError):
     """A normal form does not have the shape the reader expects."""
 
 

@@ -17,7 +17,9 @@ import itertools
 import json
 from collections import namedtuple
 
-from .syntax import App, Arrow, Bang, BangLam, Lam, Term, TyApp, Var
+from .syntax import (
+    App, Arrow, Bang, BangLam, InputError, Lam, ResourceLimit, Term, TyApp, Var,
+)
 from .encode import (
     BOOL, STR, bool_term, monoid_elem, monoid_ty,
 )
@@ -25,7 +27,7 @@ from .encode import (
 ALPHABET = ("0", "1")
 
 
-class AutomatonError(Exception):
+class AutomatonError(InputError):
     """An automaton or presentation violates its structural invariants."""
 
 
@@ -35,7 +37,7 @@ class AutomatonError(Exception):
 MONOID_BUDGET = 512
 
 
-class MonoidBudgetExceeded(Exception):
+class MonoidBudgetExceeded(ResourceLimit):
     """A monoid has more elements than MONOID_BUDGET."""
 
     def __init__(self, what, size):
@@ -187,7 +189,7 @@ def all_words(max_len: int):
 # follow[p] holds the positions that can come right after position p, and
 # at[c] the positions of letter c.
 
-class RegexError(Exception):
+class RegexError(InputError):
     pass
 
 

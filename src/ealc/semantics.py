@@ -29,8 +29,8 @@ from collections.abc import Callable
 from . import extract
 from .syntax import (
     DEFAULT_FUEL, App, Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu,
-    Term, Type, TyApp, TyLam, TyVar, UNIT, Unfold, Var, fold_term, is_unit,
-    print_term, print_type, subst_type,
+    ResourceLimit, Term, Type, TyApp, TyLam, TyVar, UNIT, Unfold, Unsupported,
+    Var, fold_term, is_unit, print_term, print_type, subst_type,
 )
 from .typecheck import EAL, Context, TypeCheckError, typecheck
 from .regcompile import Dfa, explore, minimize, numbered_dfa
@@ -43,11 +43,11 @@ POLICIES = (POLICY_ERROR, POLICY_BASE)
 DEFAULT_CAP = 10 ** 6
 
 
-class SemanticsUnsupported(Exception):
+class SemanticsUnsupported(Unsupported):
     """The type or term falls outside the interpretable fragment."""
 
 
-class CapExceeded(Exception):
+class CapExceeded(ResourceLimit):
     """`cells` is the count, or the text "b^e" for one too large to print."""
 
     def __init__(self, what, cells, cap):

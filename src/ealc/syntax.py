@@ -24,7 +24,22 @@ from operator import is_
 DEFAULT_FUEL = 10 ** 6
 
 
-class TypeStructureError(Exception):
+# Every error class of ealc derives from one of these three, and the CLI
+# exits 1, 2 or 3 by the base; here, as every subcommand loads this module.
+
+class InputError(Exception):
+    """The input is malformed or ill-typed."""
+
+
+class Unsupported(Exception):
+    """The input is well formed but outside what the operation covers."""
+
+
+class ResourceLimit(Exception):
+    """A budget ran out: fuel, a cell cap or the monoid budget."""
+
+
+class TypeStructureError(InputError):
     """A type violates the grammar classes (e.g. a forall over a banged body)."""
 
 
@@ -468,8 +483,6 @@ def subst_type_in_term(t: Term, a: str, repl: Type) -> Term:
         return cls(subst_type_in_term(t.body, a, repl))
     if cls is TyLam:
         bvar, b = t.var, t.body
-        if bvar == a:
-            return t
         if bvar in repl.ftv:
             b2 = fresh_name(bvar, repl.ftv | b.ftv)
             b = subst_type_in_term(b, bvar, TyVar(b2))
@@ -477,8 +490,6 @@ def subst_type_in_term(t: Term, a: str, repl: Type) -> Term:
         return TyLam(bvar, subst_type_in_term(b, a, repl))
     if cls is Fold:
         return Fold(subst_type(t.ty, a, repl), subst_type_in_term(t.body, a, repl))
-    if cls is Var:
-        return t
     raise TypeError(t)
 
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from .syntax import (
     Bang, BangLam, BangType, Fold, Lam, Mu, Term, Type, TyApp, TyLam, TyVar,
-    UNIT, Unfold, Var, fold_term, print_type, rebuild,
+    UNIT, Unfold, Unsupported, Var, fold_term, print_type, rebuild,
 )
 
 
-class TruncationError(Exception):
+class TruncationError(Unsupported):
     """Raised on mu types/terms, which truncation does not cover."""
 
 

@@ -17,7 +17,7 @@ failing subterm is read off that stack.
 
 A closed term that checked in an empty context is remembered with its type,
 per mode, for as long as the term lives; checking it again, alone or as an
-application's function or argument, returns that type (see _CHECKED).
+application's function, returns that type (see _CHECKED).
 
 Checking is purely synthesizing: annotations make the type of every term
 unique, and an expected type is only compared (up to alpha) at the root.
@@ -28,8 +28,8 @@ from __future__ import annotations
 import weakref
 
 from .syntax import (
-    App, Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu, Path, Term,
-    Type, TyApp, TyLam, TyVar, Unfold, Var, fresh_name,
+    App, Arrow, Bang, BangLam, BangType, Fold, Forall, InputError, Lam, Mu, Path,
+    Term, Type, TyApp, TyLam, TyVar, Unfold, Var, fresh_name,
     is_banged, is_linear, is_strictly_linear, print_type, subst_type,
     subst_type_in_term, type_alpha_eq, unbind,
 )
@@ -51,7 +51,7 @@ MU_IN_EAL = "mu-in-eal-mode"
 LINEAR, BANG_BOUND, TEMPORARY = "linear", "bang-bound", "temporary"  # the zones
 
 
-class TypeCheckError(Exception):
+class TypeCheckError(InputError):
     def __init__(self, kind: str, path: Path, message: str):
         super().__init__("%s: %s: %s" % (_fmt_path(path), kind, message))
         self.kind = kind
@@ -103,8 +103,8 @@ def classify_type(t: Type) -> str:
 # drops the entry when t dies, before its id can be reused, so a miss costs
 # one dict lookup.  Only successes are stored, so every error is raised
 # afresh.  The types are used for the term checked again (typecheck) and for
-# a closed function or argument of an application (_infer): that is how
-# checked terms are combined, by promote among others.
+# a closed function of an application (_infer): that is how checked terms
+# are combined, by promote among others.
 _CHECKED = {}
 
 
@@ -190,13 +190,9 @@ def _infer(mode, env, t):
                     if type(ty) is not Arrow:
                         raise _Failure(MISMATCH, "applied term has type %s, not an arrow"
                                        % print_type(ty), (0,))
-                    arg = t.arg
-                    arg_ty = _recall(mode, env, arg) if id(arg) in _CHECKED else None
-                    if arg_ty is None:
-                        frames.append((t, 1, ty))
-                        t, ty = arg, None
-                        break
-                    saved, ty = ty, arg_ty
+                    frames.append((t, 1, ty))
+                    t, ty = t.arg, None
+                    break
                 if cls is App:
                     # both premises typecheck, so their linear names are the
                     # linear names among their free variables

@@ -7,9 +7,9 @@ import pytest
 import ealc.extract
 from ealc.cli import main
 from ealc import (
-    STR, App, Bang, BangLam, alpha_eq, bool_term, cast_term, church_string,
-    compile_dfa, dfa_from_json, dfa_to_json, parse_term, print_term,
-    print_type, regex_to_dfa, scott_string,
+    STR, App, Bang, BangLam, InputError, ResourceLimit, Unsupported, alpha_eq,
+    bool_term, cast_term, church_string, compile_dfa, dfa_from_json,
+    dfa_to_json, parse_term, print_term, print_type, regex_to_dfa, scott_string,
 )
 
 from ealc.reduction import trace
@@ -235,6 +235,19 @@ def test_verify_mismatch_exit_code(tmp_path, parity_term):
     assert main(["verify", parity_term, "--dfa", wrong, "--max-len", "6"]) == 4
 
 
+def test_extract_verify_mismatch_exit_code(tmp_path, capsys):
+    # L* with no words to test guesses a two-state automaton for div3; the
+    # re-check finds the mismatch, exits 4 and still writes the guess
+    f = write(tmp_path / "div3.eal", print_term(compile_dfa(DIV3)) + "\n")
+    out = tmp_path / "guess.json"
+    assert main(["extract", f, "--method", "lstar", "--max-len", "0",
+                 "--verify", "3", "-o", str(out)]) == 4
+    assert capsys.readouterr() == ("", "1 mismatch(es) among 15 words of length <= 3:\n"
+                                       "  '101': term False, automaton True\n")
+    guess = dfa_from_json(out.read_text(encoding="utf-8"))
+    assert len(guess.states) == 2 and guess.run("101")
+
+
 def test_extract_semantic_cap_exit_code(tmp_path, parity_term, capsys):
     lifted = str(tmp_path / "lifted.eal")
     assert main(["promote", parity_term, "--arity", "1", "--levels", "1",
@@ -322,6 +335,21 @@ def test_recursion_error_is_a_resource_limit(monkeypatch, capsys):
         assert main(["encode", "--nat", "1"]) == 3
         assert capsys.readouterr().err == \
             "resource limit: maximum recursion depth exceeded\n"
+
+
+@pytest.mark.parametrize("base, code, prefix", [
+    (InputError, 1, "error"), (Unsupported, 2, "unsupported"),
+    (ResourceLimit, 3, "resource limit")])
+def test_exit_code_follows_the_error_base(monkeypatch, capsys, base, code, prefix):
+    # an error class the CLI has never seen exits with its base's code
+    class NewError(base):
+        pass
+
+    def fail(term):
+        raise NewError("boom")
+    monkeypatch.setattr("ealc.cli.print_term", fail)
+    assert main(["encode", "--nat", "1"]) == code
+    assert capsys.readouterr().err == "%s: boom\n" % prefix
 
 
 def test_memory_error_is_a_resource_limit(monkeypatch, capsys):

@@ -296,6 +296,27 @@ def test_each_subcommand_loads_only_its_modules(tmp_path):
     assert {"semantics", "truncate"} <= semantic
 
 
+def test_every_error_class_has_one_base():
+    # The CLI's exit code for an error is that of its base (1, 2 or 3), so
+    # each error class of ealc derives from exactly one of the three.
+    # _Failure never leaves the type checker, and VerificationFailed is
+    # raised to a library caller only.
+    bases = (ealc.InputError, ealc.Unsupported, ealc.ResourceLimit)
+    exempt = {"ealc.typecheck._Failure", "ealc.extract.VerificationFailed"}
+    checked, bad = [], []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(
+            "ealc" if path.stem == "__init__" else "ealc." + path.stem)
+        for value in vars(module).values():
+            if (isinstance(value, type) and issubclass(value, BaseException)
+                    and value.__module__ == module.__name__):
+                name = "%s.%s" % (module.__name__, value.__name__)
+                checked.append(name)
+                if name not in exempt and sum(issubclass(value, b) for b in bases) != 1:
+                    bad.append(name)
+    assert len(checked) >= 17 and bad == []
+
+
 def test_every_export_resolves():
     for name in ealc.__all__:
         assert getattr(ealc, name) is not None, name

@@ -208,6 +208,17 @@ def test_value_space_records_its_type():
     assert v == eval_term(bool_term(True).body, base=3, policy=POLICY_BASE)
 
 
+def test_base_policy_instantiates_at_a_type_of_the_same_size():
+    # a forall is read at the base set, so [b] keeps the value, while the
+    # unit's one-cell space cannot hold it
+    at_b = eval_term(TyApp(bool_term(True), TyVar("b")), policy=POLICY_BASE)
+    assert at_b.index == eval_term(bool_term(True), policy=POLICY_BASE).index
+    assert type_alpha_eq(at_b.space.ty, parse_type("b -o b -o b"))
+    with pytest.raises(SemanticsUnsupported,
+                       match=r"changes the interpretation size \(1 vs 16\)"):
+        eval_term(TyApp(bool_term(True), UNIT), policy=POLICY_BASE)
+
+
 def test_cap_below_one_is_an_input_error():
     for cap in (0, -1):
         with pytest.raises(ValueError, match="^cell cap must be >= 1, got %d$" % cap):

@@ -4,14 +4,15 @@ import time
 import pytest
 
 from ealc import (
-    App, Arrow, Bang, BangLam, BangType, Fold, Forall, Lam, Mu, Term,
-    TyApp, TyLam, TyVar, Type, TypeStructureError, UNIT, Unfold, Var,
+    App, Arrow, BOOL, Bang, BangLam, BangType, EAL, Fold, Forall, Lam, MUEAL, Mu,
+    STRS, Term, TyApp, TyLam, TyVar, Type, TypeStructureError, UNIT, Unfold, Var,
     alpha_eq, bool_term,
     check_stratification, church_string, decode_church_string,
-    erase_annotations, is_unit, parse_term, parse_type, print_term,
+    erase_annotations, is_unit, pair, parse_term, parse_type, print_term,
     print_type, ParseError, scott_string,
-    subst_term, subst_type, truncate_term, type_alpha_eq,
+    subst_term, subst_type, tensor, truncate_term, type_alpha_eq, typecheck_closed,
 )
+from ealc.encode import pair_elim
 from ealc import syntax
 from ealc.syntax import (
     StratificationViolation, all_names, children, occurrences, path_of,
@@ -40,6 +41,28 @@ def test_parse_let_bang_desugars_to_application():
             pass
         case _:
             raise AssertionError(t)
+
+
+_TRUE, _FALSE, _ONE = bool_term(True), bool_term(False), scott_string("1")
+_PAIR = pair(_TRUE, BOOL, _FALSE, BOOL)
+
+
+@pytest.mark.parametrize("text, desugared, mode, ty", [
+    ("<(%s):Bool, (%s):Bool>" % (print_term(_TRUE), print_term(_FALSE)),
+     _PAIR, EAL, tensor(BOOL, BOOL)),
+    ("let[Bool] <x:Bool, y:Bool> = %s in y" % print_term(_PAIR),
+     pair_elim(_PAIR, BOOL, BOOL, "x", "y", Var("y"), BOOL), EAL, BOOL),
+    ("case[Bool] %s of {0 x -> %s | 1 y -> %s | e -> %s}"
+     % (print_term(_ONE), print_term(_FALSE), print_term(_TRUE), print_term(_FALSE)),
+     App(App(App(TyApp(Unfold(_ONE), BOOL), Lam("x", STRS, _FALSE)),
+             Lam("y", STRS, _TRUE)), _FALSE), MUEAL, BOOL),
+], ids=["pair", "let-pair", "case"])
+def test_sugar_parses_to_its_desugaring(text, desugared, mode, ty):
+    # the desugarings of parser.py's docstring, which typecheck and print back
+    t = parse_term(text)
+    assert alpha_eq(t, desugared)
+    assert type_alpha_eq(typecheck_closed(mode, t), ty)
+    assert alpha_eq(parse_term(print_term(t)), t)
 
 
 def test_parse_forall_bang_arrow():

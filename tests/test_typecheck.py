@@ -346,8 +346,8 @@ def test_memo_keeps_errors():
 def test_memo_is_not_used_when_a_binder_would_be_renamed():
     # Under a context whose types have a free a, /\a. is renamed to a'1;
     # a memo hit would give the closed check's "forall a. ...".  The type of
-    # a closed function reaches the result, and an argument's type the
-    # mismatch message.
+    # a closed function reaches the result, and an argument's type, which is
+    # always checked afresh, the mismatch message.
     t = bool_term(True)
     f = Lam("z", BOOL, t)
     assert print_type(typecheck_closed(EAL, f)) == \
