@@ -12,7 +12,6 @@ class of ealc derives from one of these bases), 4 a verification mismatch.
 from __future__ import annotations
 
 import argparse
-import functools
 import importlib
 import sys
 
@@ -189,11 +188,25 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help text at a fixed width, where argparse would wrap it
+    at the terminal's, and with an option that takes a value listed as
+    "-o FILE, --output FILE", the form of Python 3.10-3.12, which 3.13
+    prints as "-o, --output FILE"."""
+
+    def __init__(self, prog):
+        super().__init__(prog, width=78)
+
+    def _format_action_invocation(self, action):
+        if not action.option_strings or action.nargs == 0:
+            return super()._format_action_invocation(action)
+        value = self._format_args(action, self._get_default_metavar_for_optional(action))
+        return ", ".join("%s %s" % (option, value) for option in action.option_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # argparse would wrap usage and help text at the terminal's width
-    fixed_width = functools.partial(argparse.HelpFormatter, width=78)
     p = argparse.ArgumentParser(
-        prog="eal", formatter_class=fixed_width,
+        prog="eal", formatter_class=_HelpFormatter,
         description="Elementary affine lambda-calculus toolkit: check, "
                     "normalize, encode, compile regular languages to terms, "
                     "truncate, extract automata back out.")
@@ -289,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_verify)
 
     for sp in sub.choices.values():
-        sp.formatter_class = fixed_width
+        sp.formatter_class = _HelpFormatter
     # argparse 3.13 puts the "..." on the choices' line.  Set last, as
     # add_subparsers builds each subcommand's prog from the usage it sees.
     indent = "\n" + " " * len("usage: eal ")

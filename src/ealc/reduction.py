@@ -20,6 +20,7 @@ values of closed subterms across the words it decides.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from weakref import WeakKeyDictionary
 
 from .syntax import (
     DEFAULT_FUEL, App, Bang, BangLam, Fold, InputError, Lam, ResourceLimit, Term,
@@ -38,9 +39,16 @@ class DecodeError(InputError):
     """A normal form does not have the shape the reader expects."""
 
 
-def _contract_child(p: Term, i: int, c: Term) -> Term | None:
+def _contract_child(p: Term, i: int, c: Term, memo: dict) -> Term | None:
     """The four redex shapes: the contractum of p with child i replaced
-    by c, or None when that is not a redex.  p itself is never rebuilt."""
+    by c, or None when that is not a redex.  p itself is never rebuilt.
+
+    memo maps each type abstraction node, weakly, to its last instantiation
+    (type argument node, contractum), so that an abstraction instantiated
+    again at the same type node is not substituted again.  Nodes compare by
+    identity.  An entry dies with its abstraction, before its id can be
+    reused, and holds one contractum, so the memo grows with the live term
+    and not with the number of contractions."""
     cls = type(p)
     if cls is App:
         f, a = (c, p.arg) if i == 0 else (p.fn, c)
@@ -51,19 +59,25 @@ def _contract_child(p: Term, i: int, c: Term) -> Term | None:
             return subst_term(f.body, f.var, a.body)
     elif cls is TyApp:
         if type(c) is TyLam:
-            return subst_type_in_term(c.body, c.var, p.ty)
+            ty = p.ty
+            last = memo.get(c)
+            if last is not None and last[0] is ty:
+                return last[1]
+            r = subst_type_in_term(c.body, c.var, ty)
+            memo[c] = ty, r
+            return r
     elif cls is Unfold and type(c) is Fold:
         return c.body
     return None
 
 
-def _contract(t: Term) -> Term | None:
+def _contract(t: Term, memo: dict) -> Term | None:
     """The four redex shapes, at the root only."""
     cls = type(t)
     if cls is App or cls is TyApp:
-        return _contract_child(t, 0, t.fn)
+        return _contract_child(t, 0, t.fn, memo)
     if cls is Unfold:
-        return _contract_child(t, 0, t.body)
+        return _contract_child(t, 0, t.body, memo)
     return None
 
 
@@ -78,6 +92,10 @@ def _reduce(t: Term, fuel: int):
     then the scan goes on from the contractum.  A parent is rebuilt only
     when the scan climbs past a changed child.
 
+    The run keeps a memo of its type beta contracta (see _contract_child):
+    Church iteration instantiates the same abstractions at the same types
+    on every letter.  The memo lives only as long as the run.
+
     Yields (frames, focus) after each contraction; both are live and valid
     until the engine resumes.  Returns the normal form.  Raises ValueError
     unless fuel is positive, and FuelExhausted(fuel) on finding a redex once
@@ -85,22 +103,23 @@ def _reduce(t: Term, fuel: int):
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
+    memo = WeakKeyDictionary()
     frames = []
     focus = t
     steps = 0
     while True:
-        r = _contract(focus)
+        r = _contract(focus, memo)
         while r is not None:
             if steps >= fuel:
                 raise FuelExhausted(fuel)
             steps += 1
             focus = r
             yield frames, focus
-            r = _contract_child(*frames[-1], focus) if frames else None
+            r = _contract_child(*frames[-1], focus, memo) if frames else None
             if r is not None:
                 frames.pop()
             else:
-                r = _contract(focus)
+                r = _contract(focus, memo)
         kids = children(focus)
         if kids:
             frames.append((focus, 0))

@@ -421,22 +421,23 @@ def subst_type(t: Type, a: str, repl: Type) -> Type:
 def subst_term(t: Term, x: str, u: Term) -> Term:
     """t{x := u}, renaming binders in t when they would capture u's variables.
 
-    A right-nested application spine f1 (f2 (... fn)), such as the body of
-    a Church string, is walked in a loop and rebuilt bottom-up, so its
-    length costs no recursion depth."""
+    An application chain, right-nested as f1 (f2 (... fn)), the body of a
+    Church string, or head first as x a1 ... an, is walked in a loop down
+    the side that holds x and rebuilt bottom-up, so its length costs no
+    recursion depth.  A function is entered by recursion only when its
+    argument holds x too."""
     if x not in t.fvs:
         return t
     cls = type(t)
     if cls is App:
-        spine = []
-        while True:
-            spine.append(t.fn)
-            t = t.arg
-            if type(t) is not App or x not in t.fvs:
-                break
+        spine = []  # (application, whether the walk went on into its argument)
+        while type(t) is App:
+            into_arg = x in t.arg.fvs
+            spine.append((t, into_arg))
+            t = t.arg if into_arg else t.fn
         r = subst_term(t, x, u)
-        for f in reversed(spine):
-            r = App(subst_term(f, x, u), r)
+        for p, into_arg in reversed(spine):
+            r = App(subst_term(p.fn, x, u), r) if into_arg else App(r, p.arg)
         return r
     if cls is Var:
         return u
@@ -466,19 +467,33 @@ def subst_term(t: Term, x: str, u: Term) -> Term:
 
 
 def subst_type_in_term(t: Term, a: str, repl: Type) -> Term:
-    """t{a := repl} on every annotation, renaming type binders as needed."""
+    """t{a := repl} on every annotation, renaming type binders as needed.
+
+    Chains of applications and type applications are walked in a loop, as
+    in subst_term: down an application's argument when it holds a, else
+    down its function, and down a type application's function."""
     if a not in t.ftv:
         return t
     cls = type(t)
-    if cls is App:
-        return App(subst_type_in_term(t.fn, a, repl),
-                   subst_type_in_term(t.arg, a, repl))
+    if cls is App or cls is TyApp:
+        spine = []  # (node, whether the walk went on into its argument)
+        while a in t.ftv and (type(t) is App or type(t) is TyApp):
+            into_arg = type(t) is App and a in t.arg.ftv
+            spine.append((t, into_arg))
+            t = t.arg if into_arg else t.fn
+        r = subst_type_in_term(t, a, repl)
+        for p, into_arg in reversed(spine):
+            if into_arg:
+                r = App(subst_type_in_term(p.fn, a, repl), r)
+            elif type(p) is App:
+                r = App(r, p.arg)
+            else:
+                r = TyApp(r, subst_type(p.ty, a, repl))
+        return r
     if cls is Lam or cls is BangLam:
         ty = t.ty
         return cls(t.var, None if ty is None else subst_type(ty, a, repl),
                    subst_type_in_term(t.body, a, repl))
-    if cls is TyApp:
-        return TyApp(subst_type_in_term(t.fn, a, repl), subst_type(t.ty, a, repl))
     if cls is Bang or cls is Unfold:
         return cls(subst_type_in_term(t.body, a, repl))
     if cls is TyLam:

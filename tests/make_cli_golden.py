@@ -44,6 +44,8 @@ REGEXES = {"parity": "(0*10*1)*0*", "contains-11": "(0|1)*11(0|1)*",
            "div3": "(0|11|10(1|00)*01)*", "ends-with-0": "(0|1)*0",
            "all-strings": "(0|1)*"}
 WORDS = ["", "1", "0110", "10011"]
+COMMANDS = ("check", "norm", "encode", "cast", "promote", "compile", "truncate",
+            "extract", "verify")
 
 MALFORMED_DFA = ('{"alphabet": %s, "states": %s, "start": "a", "accept": %s, '
                  '"delta": {"a": %s, "b": {"0": "b", "1": "b"}}}')
@@ -221,6 +223,8 @@ def invocations() -> list:
              ["extract", ec, "--method", "lstar", "--max-len", "6"],
              ["extract", ec, "--method", "semantic"],
              ["verify", ec, "--dfa", "{dir}/parity.json", "--max-len", "6"]]
+    # the help texts, whose layout argparse changes between Python versions
+    runs += [["--help"]] + [[command, "--help"] for command in COMMANDS]
     return runs
 
 

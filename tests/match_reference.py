@@ -155,9 +155,10 @@ def subst_type_in_term(t, a, repl):
     raise TypeError(t)
 
 
-def contract_child(p, i, c):
+def contract_child(p, i, c, memo):
     """The four redex shapes: the contractum of p with child i replaced
-    by c, or None when that is not a redex."""
+    by c, or None when that is not a redex.  memo, the engine's store of
+    type beta contracta, is left unused: every contraction substitutes."""
     match p:
         case App(f, a):
             f, a = (c, a) if i == 0 else (f, c)
@@ -173,11 +174,11 @@ def contract_child(p, i, c):
     return None
 
 
-def contract(t):
+def contract(t, memo):
     """The four redex shapes, at the root only."""
     match t:
         case App(f, _) | TyApp(f, _) | Unfold(f):
-            return contract_child(t, 0, f)
+            return contract_child(t, 0, f, memo)
     return None
 
 

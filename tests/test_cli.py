@@ -104,6 +104,14 @@ def test_norm_reads_back_a_long_encoded_string(tmp_path, capsys):
     assert capsys.readouterr() == (print_term(church_string(w)) + "\n", "")
 
 
+def test_norm_substitutes_into_a_long_head_first_chain(tmp_path, capsys):
+    # (\n. n a0 ... an) f substitutes along the chain in a loop
+    args = " ".join("a%d" % (i % 10) for i in range(10 ** 4))
+    f = write(tmp_path / "chain.eal", "(\\n. n %s) f" % args)
+    assert main(["norm", f]) == 0
+    assert capsys.readouterr() == ("f %s\n" % args, "")
+
+
 def test_norm_fuel(tmp_path, capsys):
     f = write(tmp_path / "omega.eal", r"(\x. x x) (\x. x x)")
     assert main(["norm", f, "--fuel", "50"]) == 3

@@ -5,6 +5,7 @@ by their printed text and their binder names; the checkers must synthesize
 alpha-equal types or raise the same error."""
 
 import collections
+import itertools
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from ealc import (
     type_alpha_eq, typecheck,
 )
 from ealc import reduction
-from ealc.reduction import _contract, _contract_child, trace
+from ealc.reduction import DEFAULT_FUEL, FuelExhausted, _contract, _contract_child, trace
 from ealc.syntax import (
     UNIT, Fold, _print, all_names, children, fold_term, fresh_name, is_unit,
     path_of, preorder, print_term, print_type, rebuild, replace_child,
@@ -67,9 +68,10 @@ TYPES += [q(v, ty) for ty in TYPES if type(ty) in (Arrow, Forall, Mu) and ty.ftv
 
 
 def _spines():
-    """Right-nested application spines of 300 letters: a Church string's
+    """Application chains of 300 letters.  Right-nested: a Church string's
     body, and one whose functions bind and mention the names substituted
-    for, with and without the substituted name at its end."""
+    for, with and without the substituted name at its end.  Head first:
+    the same terms as arguments, and plain names, after x or z."""
     body = church_string("".join("01"[i * i % 7 % 2] for i in range(300)))
     yield body.body.body.body.body.body
     fns = (Var("f"), Lam("y", None, App(Var("y"), Var("x"))),
@@ -78,6 +80,23 @@ def _spines():
         t = Var(end)
         for i in range(300):
             t = App(fns[i % 4], t)
+        yield t
+    for args in (fns, (Var("f"), Var("y"))):
+        for head in ("x", "z"):
+            t = Var(head)
+            for i in range(300):
+                t = App(t, args[i % len(args)])
+            yield t
+
+
+def _typed_chains():
+    """Head-first chains of 300 applications and type applications: the
+    types name a and b, and some arguments are annotated with them."""
+    args = (Var("f"), Lam("y", TyVar("a"), Var("y")), TyLam("b", Var("g")))
+    for head in (Var("x"), TyLam("a", Var("x"))):
+        t = head
+        for i in range(300):
+            t = App(TyApp(t, TyVar("ab"[i % 2])), args[i % 3])
         yield t
 
 
@@ -137,7 +156,7 @@ def test_subst_term_matches_the_reference():
 
 
 def test_subst_type_in_term_matches_the_reference():
-    for s in SUBTERMS:
+    for s in SUBTERMS + list(_typed_chains()):
         for repl in FIXED_TYPES + (_capturing_type(_type_binders(s) | s.ftv),):
             for a in sorted(s.ftv) + ["_absent"]:
                 new = subst_type_in_term(s, a, repl)
@@ -174,8 +193,8 @@ def test_contract_child_matches_the_reference():
     for p in SUBTERMS:
         for i, kid in enumerate(children(p)):
             for c in (kid, *POOL.values()):
-                assert _text(_contract_child(p, i, c)) == \
-                    _text(ref.contract_child(p, i, c)), (print_term(p), i)
+                assert _text(_contract_child(p, i, c, {})) == \
+                    _text(ref.contract_child(p, i, c, None)), (print_term(p), i)
 
 
 def test_contract_matches_the_reference():
@@ -186,32 +205,60 @@ def test_contract_matches_the_reference():
         terms = [p] + [ref.replace_child(p, i, c) for i in range(len(children(p)))
                        for c in POOL.values()]
         for t in terms:
-            new, old = _contract(t), ref.contract(t)
+            new, old = _contract(t, {}), ref.contract(t, None)
             assert _text(new) == _text(old), print_term(t)
             found += new is not None
     assert found > 100
 
 
-def _steps(t):
-    return [(print_term(s), path) for s, path in trace(t)]
+def _run(t, fuel=DEFAULT_FUEL, whole=True):
+    """The paths trace contracts on t, each with the term after it printed
+    when `whole`; then the printed normal form, or the step at which the
+    fuel ran out."""
+    out, s = [], t
+    try:
+        for s, path in trace(t, fuel):
+            out.append((print_term(s), path) if whole else path)
+    except FuelExhausted as e:
+        return out + [("fuel", e.steps)]
+    return out + [print_term(s)]
 
 
 def test_reduce_matches_the_reference_engine(monkeypatch):
-    terms = [term for _, term, _ in REDUCIBLE]
+    # The engine, which keeps a memo of type beta contracta, and the
+    # reference contraction, which substitutes every time, take the same
+    # paths to the same terms, and run out of fuel at the same step when
+    # given half of it: every corpus term, and the ten recognizers on all
+    # words of length <= 6, with every intermediate term printed up to
+    # length 2.
+    inputs = [(term, True) for _, term, _ in REDUCIBLE]
     for _, d, _ in REFERENCE_DFAS:
         plain = compile_dfa(d)
         lifted = promote(plain, 1, 1, EAL)
-        for w in ("", "0", "1", "10", "011"):
-            terms.append(App(plain, church_string(w)))
-            terms.append(App(lifted, Bang(church_string(w))))
-    new = [_steps(t) for t in terms]
+        for n in range(7):
+            for w in map("".join, itertools.product("01", repeat=n)):
+                inputs.append((App(plain, church_string(w)), n <= 2))
+                inputs.append((App(lifted, Bang(church_string(w))), n <= 2))
+
+    def runs():
+        out = []
+        for t, whole in inputs:
+            full = _run(t, whole=whole)
+            half = (len(full) - 1) // 2
+            out.append((full, _run(t, half, whole) if half else None))
+        return out
+
+    new = runs()
     monkeypatch.setattr(reduction, "_contract", ref.contract)
     monkeypatch.setattr(reduction, "_contract_child", ref.contract_child)
     monkeypatch.setattr(reduction, "children", ref.children)
     monkeypatch.setattr(reduction, "replace_child", ref.replace_child)
-    old = [_steps(t) for t in terms]
-    assert new == old
-    assert sum(map(len, new)) > 1000
+    assert runs() == new
+    for full, short in new:
+        if short is not None:
+            half = len(short) - 1
+            assert short == full[:half] + [("fuel", half)]
+    assert sum(len(full) for full, _ in new) > 10 ** 4
 
 
 def test_non_terms_raise_type_error():
@@ -230,9 +277,9 @@ def test_non_terms_raise_type_error():
         with pytest.raises(TypeError):
             fn(TyVar("a"), 0, Var("x"))
     for fn in (_contract_child, ref.contract_child):
-        assert fn(TyVar("a"), 0, Var("x")) is None
+        assert fn(TyVar("a"), 0, Var("x"), {}) is None
     for fn in (_contract, ref.contract):
-        assert fn(TyVar("a")) is None and fn(Fake()) is None
+        assert fn(TyVar("a"), {}) is None and fn(Fake(), {}) is None
 
 
 def test_type_printer_matches_the_reference():

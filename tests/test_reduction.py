@@ -12,10 +12,11 @@ from ealc import (
     erase_annotations, is_normal, normalize, parse_term, print_term, promote,
     read_bool, scott_string, step, typecheck,
 )
+from ealc import reduction
 from ealc.reduction import DEFAULT_FUEL, _contract, trace
-from ealc.syntax import Path, Term, children, replace_child
+from ealc.syntax import UNIT, Path, Term, children, replace_child, subst_type_in_term
 
-from corpus import REDUCIBLE, PARITY, REFERENCE_DFAS
+from corpus import DIV3, REDUCIBLE, PARITY, REFERENCE_DFAS
 
 
 def words(max_len):
@@ -81,7 +82,7 @@ def test_fuel_exhaustion():
 def redex_paths(t: Term) -> list:
     out = []
     def walk(s, path):
-        if _contract(s) is not None:
+        if _contract(s, {}) is not None:
             out.append(path)
         for i, c in enumerate(children(s)):
             walk(c, path + (i,))
@@ -91,7 +92,7 @@ def redex_paths(t: Term) -> list:
 
 def contract_at(t: Term, path: Path) -> Term:
     if not path:
-        r = _contract(t)
+        r = _contract(t, {})
         if r is None:
             raise ValueError("no redex at %r" % (path,))
         return r
@@ -205,6 +206,62 @@ def test_contract_at_agrees_with_step():
         assert paths, name
         leftmost = min(paths)
         assert alpha_eq(contract_at(term, leftmost), step(term)), name
+
+
+# -- the engine's memo of type beta contracta --------------------------------------
+
+def test_type_beta_memo_substitutes_no_type_per_letter(monkeypatch):
+    # a recognizer instantiates its monoid elements at the same types on
+    # every letter: with the memo the engine substitutes types as often for
+    # a long word as for a short one that reaches the same elements, and
+    # with a memo that keeps nothing once more for each letter
+    div3 = compile_dfa(DIV3)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return subst_type_in_term(*args)
+
+    monkeypatch.setattr(reduction, "subst_type_in_term", counted)
+
+    def count(w):
+        calls.clear()
+        normalize(App(div3, church_string(w)))
+        return len(calls)
+
+    short = count("01" * 4)
+    assert count("01" * 32) == short
+    contract_child = reduction._contract_child
+    monkeypatch.setattr(reduction, "_contract_child",
+                        lambda p, i, c, memo: contract_child(p, i, c, {}))
+    assert count("01" * 4) > short
+    assert count("01" * 32) - count("01" * 4) == 56
+
+
+def test_type_beta_memo_keeps_no_dropped_abstraction(monkeypatch):
+    # s = \y. (/\a. \z:a. y) [A] builds a new type abstraction on every
+    # application, open or closed as its argument and A are:
+    # s (s (... (s x))) instantiates 1000 of them once each, and the memo
+    # holds at most the one still in the term
+    contract_child = reduction._contract_child
+    sizes = []
+
+    def spy(p, i, c, memo):
+        r = contract_child(p, i, c, memo)
+        sizes.append(len(memo))
+        return r
+
+    monkeypatch.setattr(reduction, "_contract_child", spy)
+    for ty in (TyVar("b"), UNIT):
+        s = Lam("y", None, TyApp(TyLam("a", Lam("z", TyVar("a"), Var("y"))), ty))
+        for x in (Var("x"), Lam("q", None, Var("q"))):
+            t = want = x
+            for _ in range(1000):
+                t = App(s, t)
+                want = Lam("z", ty, want)
+            sizes.clear()
+            assert print_term(normalize(t)) == print_term(want)
+            assert len(sizes) >= 2000 and max(sizes) <= 1
 
 
 # -- readers ----------------------------------------------------------------------

@@ -11,8 +11,8 @@ from ealc import (
     typecheck_closed,
 )
 from ealc.regcompile import (
-    MONOID_BUDGET, AutomatonError, Dfa, MonoidBudgetExceeded, dfa_equiv, minimize,
-    monoid_from_dict, numbered_dfa,
+    MONOID_BUDGET, AutomatonError, Dfa, MonoidBudgetExceeded,
+    _associative_by_generators, dfa_equiv, minimize, monoid_from_dict, numbered_dfa,
 )
 
 import match_reference as ref
@@ -251,6 +251,70 @@ def test_monoid_validation():
         monoid_from_dict({"size": 3,
                           "table": [[1, 2, 3], [2, 3, 3], [3, 1, 2]],
                           "gen0": 2, "gen1": 3, "accept": []})
+
+
+def _first_nonassociative(table):
+    """The first triple in order on which the 1-based table is not
+    associative, or None."""
+    k = len(table)
+    for a, b, c in itertools.product(range(k), repeat=3):
+        if table[table[a][b] - 1][c] != table[a][table[b][c] - 1]:
+            return a + 1, b + 1, c + 1
+    return None
+
+
+def _generates(table, gens):
+    """Whether right multiplication by gens reaches every element from 1."""
+    seen, todo = {1}, [1]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = table[x - 1][g - 1]
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return len(seen) == len(table)
+
+
+def _tables_with_identity(rng):
+    """Transition monoids of seeded random DFAs, each also with one entry
+    changed, and tables drawn at random around the identity row and column."""
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        table = transition_monoid(numbered_dfa(
+            [{"0": rng.randrange(n), "1": rng.randrange(n)} for _ in range(n)],
+            [0])).table
+        yield table
+        k = len(table)
+        if k > 1:
+            rows = [list(r) for r in table]
+            rows[rng.randrange(1, k)][rng.randrange(1, k)] = rng.randint(1, k)
+            yield tuple(map(tuple, rows))
+    for _ in range(60):
+        k = rng.randint(2, 5)
+        yield ((tuple(range(1, k + 1)),)
+               + tuple((i,) + tuple(rng.randint(1, k) for _ in range(k - 1))
+                       for i in range(2, k + 1)))
+
+
+def test_light_associativity_test_agrees_with_the_full_check():
+    rng = random.Random(50)
+    kinds = set()
+    for table in _tables_with_identity(rng):
+        k = len(table)
+        full = _first_nonassociative(table)
+        for gens in {(g0, g1) for g0 in range(1, k + 1) for g1 in (g0, k)}:
+            generated = _generates(table, gens)
+            light = _associative_by_generators(table, (gens[0] - 1, gens[1] - 1))
+            assert light == (generated and full is None), (table, gens)
+            kinds.add((generated, full is None))
+            if full is None:
+                MonoidPresentation(k, table, *gens, frozenset())
+            else:
+                with pytest.raises(AutomatonError,
+                                   match=r"associativity fails on \(%d, %d, %d\)" % full):
+                    MonoidPresentation(k, table, *gens, frozenset())
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # -- the compiler -------------------------------------------------------------------

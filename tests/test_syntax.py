@@ -421,6 +421,36 @@ def test_walks_on_a_long_church_string():
     assert len(names) == w[:1200].count("1") and "f1" not in t2.fvs
 
 
+def test_substitution_walks_long_application_chains():
+    # A chain is walked in a loop down whichever side holds the name, head
+    # first as in x a0 ... an or right-nested as in a Church string, so 10^4
+    # arguments need no recursion depth.  The arguments take ten names: a
+    # node's free variables are a set of its own, so n distinct names would
+    # cost n^2 / 2 set entries.
+    n = 10 ** 4
+    args = [Var("a%d" % (i % 10)) for i in range(n)]
+    chain = Var("x")
+    for a in args:
+        chain = App(chain, a)
+    f = Lam("y", None, Var("y"))
+    t = subst_term(chain, "x", f)
+    for a in reversed(args):
+        assert type(t) is App and t.arg is a
+        t = t.fn
+    assert t is f
+    # right-nested, where the arguments hold the name
+    right = subst_term(church_string("01" * (n // 2)).body.body.body.body.body, "f1",
+                       Var("g"))
+    assert print_term(right) == " (".join(["f0 (g"] * (n // 2)) + " x" + ")" * (n - 1)
+    # type applications along the chain, and the type of its last argument
+    typed = Var("x")
+    for i in range(n):
+        typed = App(TyApp(typed, TyVar("b")), args[i])
+    typed = App(typed, Lam("z", TyVar("b"), Var("z")))
+    text = "x" + "".join(" [c] " + a.name for a in args) + " (\\z:c. z)"
+    assert print_term(syntax.subst_type_in_term(typed, "b", TyVar("c"))) == text
+
+
 def test_long_strings_parse_back():
     # The parser keeps its own stack, so a printed 10^4-letter string, which
     # nests 10^4 parentheses, reads back at the default recursion limit.
