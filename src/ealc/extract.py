@@ -61,8 +61,8 @@ _DECISION_TYPES = (
 )
 
 
-def _decision_shape(t: Term, mode: str = MUEAL) -> str:
-    ty = typecheck(mode, Context(), t)
+def _decision_shape(t: Term) -> str:
+    ty = typecheck(MUEAL, Context(), t)
     for shape, want in _DECISION_TYPES:
         if type_alpha_eq(ty, want):
             return shape
@@ -201,24 +201,16 @@ def extract_lstar(t: Term, max_len: int = 10, seed: int = 0,
     def row(p):
         return tuple(query(p + e) for e in suffixes)
 
-    def close():
-        changed = True
-        while changed:
-            changed = False
-            rows = {row(p) for p in prefixes}
-            for p in list(prefixes):
-                for c in ALPHABET:
-                    rq = row(p + c)
-                    if rq not in rows:
-                        prefixes.append(p + c)
-                        rows.add(rq)
-                        changed = True
-
     def hypothesis() -> Dfa:
-        close()
-        reps = {}
+        # close the table: the prefixes' rows are pairwise distinct, since a
+        # prefix joins only with a new row and a new suffix only splits rows
+        reps = {row(p): p for p in prefixes}
         for p in prefixes:
-            reps.setdefault(row(p), p)
+            for c in ALPHABET:
+                r = row(p + c)
+                if r not in reps:
+                    reps[r] = p + c
+                    prefixes.append(p + c)
         index = {r: "q%d" % i for i, r in enumerate(reps)}
         delta = {}
         accept = set()

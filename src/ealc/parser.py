@@ -103,10 +103,46 @@ _ARGUMENT_START = frozenset(("(", "\\", "\\!", "/\\", "!", "fold", "unfold", "<"
 # frames that have read nothing are shared and told apart by identity.
 _ARROW_TY, _FORALL_TY, _MU_TY = range(3)
 _BANG_TY, _PAREN_TY, _STR_TY = (3,), (4,), (5,)
-(_LAM, _BANG_LAM, _TY_LAM, _GROUP, _APP, _BANG, _FOLD, _UNFOLD, _LET_BANG_U,
- _LET_BANG_BODY, _LET_PAIR_U, _LET_PAIR_BODY, _CASE_SCRUTINEE, _CASE_0,
- _CASE_1, _CASE_E, _PAIR_U, _PAIR_V) = range(18)
+(_LAM, _BANG_LAM, _TY_LAM, _GROUP, _APP, _BANG, _FOLD, _UNFOLD,
+ _SUGAR) = range(9)
 _TERM, _ARGUMENT, _ATOM = range(3)  # where term() stands, besides finishing
+
+
+# Each sugar form is a row of steps that reads it after its head, and a
+# builder.  A step is a lexeme to expect, or an identifier, an optional
+# ": T" (None when absent, or with _FRESH a fresh type variable drawn at
+# once), or a subterm; the builder takes the parser and the values read, in
+# order, after those its head read.  So a let !x's type and a let-pair's
+# result type, which the builders draw, are drawn after the body.
+_IDENT, _OPT, _FRESH, _SUBTERM = range(4)
+
+
+def _let_bang(p, x, ty, u, t):
+    return App(BangLam(x, ty if ty is not None else p.fresh_tyvar(), t), u)
+
+
+def _let_pair(p, theta, x, xty, y, yty, u, t):
+    theta = theta if theta is not None else p.fresh_tyvar()
+    return App(TyApp(u, theta), Lam(x, xty, Lam(y, yty, t)))
+
+
+def _case(p, theta, scrutinee, x, a, y, b, c):
+    head = TyApp(Unfold(scrutinee), theta)
+    return App(App(App(head, Lam(x, STRS, a)), Lam(y, STRS, b)), c)
+
+
+def _pair(p, u, uty, v, vty):
+    a = fresh_name("_p", uty.ftv | vty.ftv | u.ftv | v.ftv)
+    f = fresh_name("_f", u.fvs | v.fvs)
+    return TyLam(a, Lam(f, Arrow(uty, Arrow(vty, TyVar(a))), App(App(Var(f), u), v)))
+
+
+_LET_BANG = (_IDENT, _OPT, "=", _SUBTERM, "in", _SUBTERM)
+_LET_PAIR = ("<", _IDENT, _FRESH, ",", _IDENT, _FRESH, ">", "=", _SUBTERM, "in",
+             _SUBTERM)
+_CASE = (_SUBTERM, "of", "{", "0", _IDENT, "->", _SUBTERM, "|", "1", _IDENT, "->",
+         _SUBTERM, "|", "e", "->", _SUBTERM, "}")
+_PAIR = (_SUBTERM, _FRESH, ",", _SUBTERM, _FRESH)  # a _GROUP reads its ">"
 
 
 class _Parser:
@@ -230,6 +266,28 @@ class _Parser:
 
     # -- terms -------------------------------------------------------------
 
+    def sugar(self, stack, build, steps, values, i):
+        """Read a sugar form's steps (a row, or the iterator a frame holds) at
+        i after the values read so far: push the frame that waits for the
+        next subterm and return None, or return the built term.  Either way
+        also return the index."""
+        steps = iter(steps)
+        for step in steps:
+            if step == _SUBTERM:
+                stack.append((_SUGAR, build, steps, values))
+                return None, i
+            if step == _IDENT:
+                v, i = self.ident(i)
+            elif type(step) is str:
+                i = self.expect(step, i)
+                continue
+            else:
+                v, i = self.opt_annot(i)
+                if v is None and step == _FRESH:
+                    v = self.fresh_tyvar()
+            values.append(v)
+        return build(self, *values), i
+
     def term(self, i):
         """The term at i and the index after it.  The parser stands in one
         of four places: a term starts (binders and sugar push their frames),
@@ -261,30 +319,17 @@ class _Parser:
                         a, i = self.ident(i + 1)
                         i = self.expect(".", i)
                         stack.append((_TY_LAM, a))
-                    elif lex == "let":
-                        result_ty, i = self.bracket_annot(i + 1)
-                        if lexemes[i] == "!":
-                            if result_ty is not None:
-                                self.err("let !x takes no result annotation", i)
-                            x, i = self.ident(i + 1)
-                            ty, i = self.opt_annot(i)
-                            stack.append((_LET_BANG_U, x, ty))
-                        else:
-                            i = self.expect("<", i)
-                            x, i = self.ident(i)
-                            xty, i = self.opt_annot(i)
-                            xty = xty if xty is not None else self.fresh_tyvar()
-                            i = self.expect(",", i)
-                            y, i = self.ident(i)
-                            yty, i = self.opt_annot(i)
-                            yty = yty if yty is not None else self.fresh_tyvar()
-                            i = self.expect(">", i)
-                            stack.append((_LET_PAIR_U, result_ty, x, xty, y, yty))
-                        i = self.expect("=", i)
-                    elif lex == "case":
+                    elif lex == "let" or lex == "case":
                         theta, i = self.bracket_annot(i + 1)
-                        theta = theta if theta is not None else self.fresh_tyvar()
-                        stack.append((_CASE_SCRUTINEE, theta))
+                        if lex == "case":
+                            theta = theta if theta is not None else self.fresh_tyvar()
+                            _, i = self.sugar(stack, _case, _CASE, [theta], i)
+                        elif lexemes[i] == "!":
+                            if theta is not None:
+                                self.err("let !x takes no result annotation", i)
+                            _, i = self.sugar(stack, _let_bang, _LET_BANG, [], i + 1)
+                        else:
+                            _, i = self.sugar(stack, _let_pair, _LET_PAIR, [theta], i)
                     else:
                         break
                     lex = lexemes[i]
@@ -310,8 +355,10 @@ class _Parser:
                     t = Var(lex)
                     i += 1
                 elif lex == "(" or lex == "<":
-                    stack.append((_GROUP if lex == "(" else _PAIR_U,))
+                    stack.append((_GROUP, ")" if lex == "(" else ">"))
                     i += 1
+                    if lex == "<":
+                        _, i = self.sugar(stack, _pair, _PAIR, [], i)
                     where = _TERM
                     continue
                 else:
@@ -352,69 +399,16 @@ class _Parser:
                 elif kind == _TY_LAM:
                     t = TyLam(frame[1], t)
                 elif kind == _GROUP:
-                    i = self.expect(")", i)
+                    i = self.expect(frame[1], i)
                     where = _ATOM
                     break
-                elif kind == _LET_BANG_U:
-                    i = self.expect("in", i)
-                    stack.append((_LET_BANG_BODY, *frame[1:], t))
-                    where = _TERM
-                    break
-                elif kind == _LET_BANG_BODY:
-                    _, x, ty, u = frame
-                    ty = ty if ty is not None else self.fresh_tyvar()
-                    t = App(BangLam(x, ty, t), u)
-                elif kind == _LET_PAIR_U:
-                    i = self.expect("in", i)
-                    stack.append((_LET_PAIR_BODY, *frame[1:], t))
-                    where = _TERM
-                    break
-                elif kind == _LET_PAIR_BODY:
-                    _, theta, x, xty, y, yty, u = frame
-                    theta = theta if theta is not None else self.fresh_tyvar()
-                    t = App(TyApp(u, theta), Lam(x, xty, Lam(y, yty, t)))
-                elif kind == _CASE_SCRUTINEE:
-                    i = self.expect("0", self.expect("{", self.expect("of", i)))
-                    x, i = self.ident(i)
-                    i = self.expect("->", i)
-                    stack.append((_CASE_0, *frame[1:], t, x))
-                    where = _TERM
-                    break
-                elif kind == _CASE_0:
-                    i = self.expect("1", self.expect("|", i))
-                    y, i = self.ident(i)
-                    i = self.expect("->", i)
-                    stack.append((_CASE_1, *frame[1:], t, y))
-                    where = _TERM
-                    break
-                elif kind == _CASE_1:
-                    i = self.expect("->", self.expect("e", self.expect("|", i)))
-                    stack.append((_CASE_E, *frame[1:], t))
-                    where = _TERM
-                    break
-                elif kind == _CASE_E:
-                    i = self.expect("}", i)
-                    _, theta, scrutinee, x, a, y, b = frame
-                    head = TyApp(Unfold(scrutinee), theta)
-                    t = App(App(App(head, Lam(x, STRS, a)), Lam(y, STRS, b)), t)
-                elif kind == _PAIR_U:
-                    uty, i = self.opt_annot(i)
-                    uty = uty if uty is not None else self.fresh_tyvar()
-                    i = self.expect(",", i)
-                    stack.append((_PAIR_V, t, uty))
-                    where = _TERM
-                    break
-                else:  # _PAIR_V
-                    _, u, uty = frame
-                    vty, i = self.opt_annot(i)
-                    vty = vty if vty is not None else self.fresh_tyvar()
-                    i = self.expect(">", i)
-                    a = fresh_name("_p", uty.ftv | vty.ftv | u.ftv | t.ftv)
-                    f = fresh_name("_f", u.fvs | t.fvs)
-                    t = TyLam(a, Lam(f, Arrow(uty, Arrow(vty, TyVar(a))),
-                                     App(App(Var(f), u), t)))
-                    where = _ATOM
-                    break
+                else:  # _SUGAR
+                    _, build, steps, values = frame
+                    values.append(t)
+                    t, i = self.sugar(stack, build, steps, values, i)
+                    if t is None:
+                        where = _TERM
+                        break
             else:
                 return t, i
 

@@ -174,7 +174,7 @@ def is_normal(t: Term) -> bool:
 
 # -- evaluation ----------------------------------------------------------------
 #
-# Values: _Closure (\x or \!x with its environment), _TyClosure, _Box (a
+# Values: _Closure (a \x, \!x or /\a node with its environment), _Box (a
 # bang, whose _Thunk is evaluated on first use and then shared), _Folded,
 # _Word, and _Neutral for whatever is stuck.  Environments are linked
 # frames (name, value, next); a \!x frame holds the box's _Thunk.
@@ -189,17 +189,12 @@ _STUCK = _Neutral()
 
 
 class _Closure:
-    __slots__ = ("var", "body", "env", "bang")
+    """A \\x, \\!x or /\\a node, which code dispatches on by type, with the
+    environment it was evaluated in."""
+    __slots__ = ("node", "env")
 
-    def __init__(self, var, body, env, bang):
-        self.var, self.body, self.env, self.bang = var, body, env, bang
-
-
-class _TyClosure:
-    __slots__ = ("body", "env")
-
-    def __init__(self, body, env):
-        self.body, self.env = body, env
+    def __init__(self, node, env):
+        self.node, self.env = node, env
 
 
 class _Thunk:
@@ -207,11 +202,6 @@ class _Thunk:
 
     def __init__(self, term, env, value=None):
         self.term, self.env, self.value = term, env, value
-
-
-# The values that can capture nothing: one of these with env None is
-# fixed by its node alone.
-_CLOSED = (_Closure, _TyClosure)
 
 
 class _Box:
@@ -284,17 +274,17 @@ class Evaluator:
         while True:  # erasure drops folds and type abstractions
             if type(v) is _Box:
                 v = self._force(v.thunk)
-            elif type(v) is _TyClosure:
-                v = self._eval(v.body, v.env)
+            elif type(v) is _Closure and type(v.node) is TyLam:
+                v = self._eval(v.node.body, v.env)
             elif type(v) is _Folded:
                 v = v.value
             else:
                 break
         x, y = _Neutral(), _Neutral()
         for n in (x, y):
-            if type(v) is not _Closure or v.bang:
+            if type(v) is not _Closure or type(v.node) is not Lam:
                 return None
-            v = self._eval(v.body, (v.var, n, v.env))
+            v = self._eval(v.node.body, (v.node.var, n, v.env))
         return True if v is x else False if v is y else None
 
     def _contract(self):
@@ -322,22 +312,18 @@ class Evaluator:
             return _STUCK  # a free variable
         if cls is Lam or cls is BangLam or cls is TyLam:
             if t.fvs:
-                if cls is TyLam:
-                    return _TyClosure(t.body, env)
-                return _Closure(t.var, t.body, env, cls is BangLam)
+                return _Closure(t, env)
             v = self._closed.get(t)
             if v is None:
-                v = (_TyClosure(t.body, None) if cls is TyLam
-                     else _Closure(t.var, t.body, None, cls is BangLam))
-                self._closed[t] = v
+                v = self._closed[t] = _Closure(t, None)
             return v
         if cls is Bang:
             return _Box(_Thunk(t.body, env))
         if cls is TyApp:
             f = self._eval(t.fn, env)
-            if type(f) is _TyClosure:
+            if type(f) is _Closure and type(f.node) is TyLam:
                 self._contract()
-                return self._eval(f.body, f.env)
+                return self._eval(f.node.body, f.env)
             if type(f) is _Word and not f.steps:
                 self._contract()
                 return f
@@ -354,8 +340,9 @@ class Evaluator:
 
     def _apply(self, f, a):
         if type(f) is _Closure:
-            if not f.bang:
-                if f.env is None and type(a) in _CLOSED and a.env is None:
+            node = f.node
+            if type(node) is Lam:
+                if f.env is None and type(a) is _Closure and a.env is None:
                     # f a depends on f and a alone (see the class doc)
                     hit = self._applied.get((f, a))
                     if hit is not None:
@@ -365,15 +352,15 @@ class Evaluator:
                         return hit[0]
                     left = self._left
                     self._contract()
-                    v = self._eval(f.body, (f.var, a, None))
-                    if type(v) in _CLOSED and v.env is None:
+                    v = self._eval(node.body, (node.var, a, None))
+                    if type(v) is _Closure and v.env is None:
                         self._applied[(f, a)] = (v, left - self._left)
                     return v
                 self._contract()
-                return self._eval(f.body, (f.var, a, f.env))
-            if type(a) is _Box:
+                return self._eval(node.body, (node.var, a, f.env))
+            if type(node) is BangLam and type(a) is _Box:
                 self._contract()
-                return self._eval(f.body, (f.var, a.thunk, f.env))
+                return self._eval(node.body, (node.var, a.thunk, f.env))
         elif type(f) is _Word:
             if len(f.steps) == 2:
                 self._contract()  # \x. f_{w1} (... (f_{wn} x))

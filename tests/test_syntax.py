@@ -65,6 +65,24 @@ def test_sugar_parses_to_its_desugaring(text, desugared, mode, ty):
     assert alpha_eq(parse_term(print_term(t)), t)
 
 
+_S = "(mu b. forall a. (b -o a) -o (b -o a) -o a -o a)"  # StrS, as printed
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("let <x, y> = p in case s of {0 a -> <a, x> | 1 b -> b | e -> let !z = y in z}",
+     "p [_T7] (\\x:_T1. \\y:_T2. unfold s [_T3] (\\a:%s. /\\_p. \\_f:(_T4 -o _T5 -o _p)."
+     " _f a x) (\\b:%s. b) ((\\!z:_T6. z) y))" % (_S, _S)),
+    ("<let !u = v in u, case w of {0 a -> a | 1 b -> b | e -> c}>",
+     "/\\_p. \\_f:(_T2 -o _T4 -o _p). _f ((\\!u:_T1. u) v)"
+     " (unfold w [_T3] (\\a:%s. a) (\\b:%s. b) c)" % (_S, _S)),
+], ids=["let-pair", "pair"])
+def test_sugar_draws_fresh_type_variables_in_order(text, printed):
+    # a pair's and a let-pair's annotations are drawn when read, a case's
+    # result type at its head, and a let !x's annotation and a let-pair's
+    # result type after the body
+    assert print_term(parse_term(text)) == printed
+
+
 def test_parse_forall_bang_arrow():
     ty = parse_type("forall a. !a -o a")
     match ty:
